@@ -26,7 +26,8 @@
      bench/main.exe --list     list section names
      bench/main.exe --json     also write per-section engine counters
                                (cpu time, events, parked waiters,
-                               simulated cycles/s) to BENCH_PERF.json
+                               simulated cycles/s, minor and promoted
+                               words) to BENCH_PERF.json
      bench/main.exe --trace FILE
                                record every job of the selected sections
                                into a Chrome/Perfetto trace-event JSON
@@ -87,9 +88,11 @@
                                drop in simulated cycles per cpu second
                                globally or in a non-trivial section,
                                >25% growth in events executed globally
-                               or per section, or a section's cpu time
-                               blowing up >1.75x and >0.5s); all failing
-                               checks are reported before exiting *)
+                               or per section, >10% and >1M growth in
+                               a section's minor-heap words, or a
+                               section's cpu time blowing up >1.75x and
+                               >0.5s); all failing checks are reported
+                               before exiting *)
 
 open Ssync_bench
 
@@ -153,11 +156,16 @@ let sections : (string * string * (quick:bool -> Section.t)) list =
    the serial render time, so it approximates the old serial wall_s and
    stays comparable across --jobs counts; [sim_mcycles_per_s] is
    simulated cycles per cpu second — the simulator's own throughput,
-   independent of how many domains ran the jobs. *)
+   independent of how many domains ran the jobs.  [sp_minor_words] and
+   [sp_promoted_words] are the jobs' GC allocation, counted per job in
+   the executing domain: at --jobs 1 they repeat exactly from run to
+   run, which makes them a host-independent perf signal. *)
 type section_perf = {
   sp_name : string;
   sp_cpu_s : float;
   sp_perf : Ssync_engine.Sim.perf;
+  sp_minor_words : int;
+  sp_promoted_words : int;
 }
 
 let sim_mcps ~cpu_s ~sim_cycles =
@@ -169,13 +177,14 @@ let perf_json_fields sp =
     "\"cpu_s\":%.3f,\"events\":%d,\"parks\":%d,\"wakeups\":%d,\
      \"elided_probes\":%d,\"link_queued_cycles\":%d,\"sim_cycles\":%d,\
      \"sim_mcycles_per_s\":%.1f,\"speculative_replays\":%d,\
-     \"serial_escalations\":%d"
+     \"serial_escalations\":%d,\"minor_words\":%d,\"promoted_words\":%d"
     sp.sp_cpu_s p.Ssync_engine.Sim.events p.Ssync_engine.Sim.parks
     p.Ssync_engine.Sim.wakeups p.Ssync_engine.Sim.elided_probes
     p.Ssync_engine.Sim.link_queued_cycles p.Ssync_engine.Sim.sim_cycles
     (sim_mcps ~cpu_s:sp.sp_cpu_s ~sim_cycles:p.Ssync_engine.Sim.sim_cycles)
     p.Ssync_engine.Sim.speculative_replays
-    p.Ssync_engine.Sim.serial_escalations
+    p.Ssync_engine.Sim.serial_escalations sp.sp_minor_words
+    sp.sp_promoted_words
 
 let write_perf_json ~quick ~jobs ~shards ~total_wall sps =
   let oc = open_out "BENCH_PERF.json" in
@@ -186,8 +195,16 @@ let write_perf_json ~quick ~jobs ~shards ~total_wall sps =
           acc with
           sp_cpu_s = acc.sp_cpu_s +. sp.sp_cpu_s;
           sp_perf = Ssync_engine.Sim.perf_add acc.sp_perf sp.sp_perf;
+          sp_minor_words = acc.sp_minor_words + sp.sp_minor_words;
+          sp_promoted_words = acc.sp_promoted_words + sp.sp_promoted_words;
         })
-      { sp_name = "total"; sp_cpu_s = 0.; sp_perf = Ssync_engine.Sim.perf_zero }
+      {
+        sp_name = "total";
+        sp_cpu_s = 0.;
+        sp_perf = Ssync_engine.Sim.perf_zero;
+        sp_minor_words = 0;
+        sp_promoted_words = 0;
+      }
       sps
   in
   output_string oc "[\n";
@@ -252,12 +269,20 @@ let section_time line =
   | Some t -> Some t
   | None -> field_num line "wall_s"
 
+(* One section line: cpu_s (or wall_s), then the fields older formats
+   may lack. *)
+type section_line = {
+  sl_name : string;
+  sl_time : float;
+  sl_events : float option;
+  sl_mcps : float option;
+  sl_cycles : float option;
+  sl_minor : float option;
+}
+
 type file_perf = {
   fp_mode : string;
-  fp_sections :
-    (string * float * float option * float option * float option) list;
-      (* section -> cpu_s (or wall_s), then events, sim Mcy/s and
-         sim_cycles when the format has them *)
+  fp_sections : section_line list;
   fp_events : float;
   fp_mcps : float; (* simulated Mcycles per cpu second *)
 }
@@ -289,11 +314,14 @@ let perf_summary path =
             match section_time l with
             | Some t ->
                 Some
-                  ( name,
-                    t,
-                    field_num l "events",
-                    field_num l "sim_mcycles_per_s",
-                    field_num l "sim_cycles" )
+                  {
+                    sl_name = name;
+                    sl_time = t;
+                    sl_events = field_num l "events";
+                    sl_mcps = field_num l "sim_mcycles_per_s";
+                    sl_cycles = field_num l "sim_cycles";
+                    sl_minor = field_num l "minor_words";
+                  }
             | None -> None)
         | _ -> None)
       lines
@@ -341,12 +369,12 @@ let compare_perf baseline_path fresh_path =
   if f.fp_mcps < 0.75 *. b.fp_mcps then
     fail "simulated cycles per cpu second dropped >25%% (hot-path slowdown?)";
   List.iter
-    (fun (name, ft, fev, fmcps, fscy) ->
-      match
-        List.find_opt (fun (n, _, _, _, _) -> n = name) b.fp_sections
-      with
+    (fun fs ->
+      let name = fs.sl_name and ft = fs.sl_time and fev = fs.sl_events in
+      match List.find_opt (fun bs -> bs.sl_name = name) b.fp_sections with
       | None -> ()
-      | Some (_, bt, bev, bmcps, _) ->
+      | Some bs ->
+          let bt = bs.sl_time and bev = bs.sl_events in
           (* Per-section cpu time, with a deliberately generous
              threshold: the numbers are one-shot wall measurements on a
              possibly noisy host, so only flag a section that both blew
@@ -372,6 +400,20 @@ let compare_perf baseline_path fresh_path =
               fail "section %s: events %.0f -> %.0f (limit 1.25x and +1e6)"
                 name be fe
           | _ -> ());
+          (* Per-section minor-heap words: exact at --jobs 1 (counted
+             per job in the executing domain), so unlike cpu time this
+             needs no noise allowance — only a floor for small
+             sections.  Skipped when the baseline predates the field. *)
+          (match (bs.sl_minor, fs.sl_minor) with
+          | Some bw, Some fw when fw > 1.10 *. bw && fw -. bw > 1e6 ->
+              Printf.printf
+                "  section %-22s %12.0f -> %12.0f minor words  (limit 1.10x \
+                 and +1e6)\n"
+                name bw fw;
+              fail
+                "section %s: minor words %.0f -> %.0f (limit 1.10x and +1e6)"
+                name bw fw
+          | _ -> ());
           (* Per-section simulator throughput (simulated Mcycles per
              cpu second): localizes a hot-path slowdown to the section
              that pays it.  Only sections with a non-trivial baseline
@@ -382,14 +424,14 @@ let compare_perf baseline_path fresh_path =
              to judge — cpu time there is dominated by host execution,
              so a Mcy/s ratio would be 0/0 noise.  Say so out loud
              rather than leaving a silent hole in the report. *)
-          match fscy with
+          match fs.sl_cycles with
           | Some 0. ->
               Printf.printf
                 "  section %-22s (sim_cycles 0: native section, throughput \
                  check skipped)\n"
                 name
           | _ -> (
-              match (bmcps, fmcps) with
+              match (bs.sl_mcps, fs.sl_mcps) with
               | Some bm, Some fm when bt >= 0.5 && bm > 0. && fm < 0.75 *. bm
                 ->
                   Printf.printf
@@ -724,6 +766,8 @@ let () =
             sp_cpu_s =
               (float_of_int stats.Ssync_engine.Pool.wall_ns /. 1e9) +. render_s;
             sp_perf = stats.Ssync_engine.Pool.perf;
+            sp_minor_words = stats.Ssync_engine.Pool.minor_words;
+            sp_promoted_words = stats.Ssync_engine.Pool.promoted_words;
           }
           :: !perfs)
       planned;

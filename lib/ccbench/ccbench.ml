@@ -52,8 +52,9 @@ let measure_cell pid (op : Arch.memop) (state : Arch.cstate)
           | Arch.Fai -> (1, 0)
           | Arch.Load | Arch.Store | Arch.Tas | Arch.Swap -> (v, 0)
         in
-        let latency, _ =
-          Memory.access mem ~core:requester ~now:1_000 op a ~operand ~operand2
+        let latency =
+          Memory.access_lat mem ~core:requester ~now:1_000 op a ~operand
+            ~operand2
         in
         Some
           { op; state; distance; paper = Latencies.table2 pid op state distance;
@@ -92,7 +93,6 @@ let opteron_remote_directory_load () : int =
   let mem = Memory.create p in
   (* home on die 5; requester die 0, owner die 3: everybody remote *)
   let a = Memory.alloc ~home_core:(5 * 6) mem in
-  ignore (Memory.access mem ~core:18 ~now:0 Arch.Store a ~operand:1);
+  ignore (Memory.access_lat mem ~core:18 ~now:0 Arch.Store a ~operand:1);
   Memory.reset_busy mem a;
-  let lat, _ = Memory.access mem ~core:0 ~now:1000 Arch.Load a in
-  lat
+  Memory.access_lat mem ~core:0 ~now:1000 Arch.Load a

@@ -59,14 +59,17 @@ type addr = int
 
 type line = {
   mutable state : Arch.cstate;
-  mutable owner : int option;   (* core holding Modified/Owned/Exclusive *)
+  mutable owner : int;          (* core holding Modified/Owned/Exclusive,
+                                   -1 = none: a plain int, so ownership
+                                   updates and tests never box a [Some] *)
   sharers : Coreset.t;          (* cores holding Shared copies *)
   mutable home : int;           (* home node (directory / home tile / memory);
                                    mutable only so disposed memories can
                                    recycle line records in place *)
   mutable busy_until : int;     (* virtual time the line is occupied until *)
-  mutable pfw_owner : int option;
-      (* core holding an exclusive-prefetch reservation (section 5.3):
+  mutable pfw_owner : int;
+      (* core holding an exclusive-prefetch reservation (section 5.3),
+         -1 = none:
          set by a prefetchw probe, cleared by any other real access.
          While a foreign reservation holds, other prefetchw probes
          degrade to directed read snoops that steal nothing. *)
@@ -81,7 +84,10 @@ type line = {
       (* the last write drained through the store buffer into the
          inclusive LLC (posted store): a same-die fetch of this
          Modified line is an LLC hit, not an owner round trip (Xeon) *)
-  mutable waiters : waiter list; (* parked spinners, FIFO *)
+  mutable waiters : waiter;
+      (* parked spinners in park order, chained through [w_link];
+         [no_waiter] when none.  An intrusive chain, so parking,
+         settling and waking allocate no list cells. *)
 }
 (* Sharded-execution bookkeeping (residency tags, conflict stamps,
    peek generations) lives in side arrays on [t], not in the line
@@ -110,6 +116,7 @@ and waiter = {
                                    depth telemetry, charged at wake) *)
   mutable w_next : int;
   w_replay : int -> unit;
+  mutable w_link : waiter;      (* next waiter on the line, [no_waiter] last *)
 }
 
 (* Per-shard mutable scratch: reused cost-model view, the
@@ -118,7 +125,7 @@ and waiter = {
    sharded engine gives each shard its own slot and merges the stats at
    the end of the run. *)
 type slot = {
-  scratch : Cost_model.view;    (* reused for every op_latency call *)
+  scratch : Cost_model.line_view; (* reused for every op_latency call *)
   path : int array;             (* reused resource-path scratch *)
   mutable last_result : int;
       (* result value of the most recent [access_lat] — an out-parameter
@@ -148,10 +155,10 @@ type slot = {
 type jline = {
   jl_li : int;
   jl_state : Arch.cstate;
-  jl_owner : int option;
+  jl_owner : int;
   jl_sharers : Coreset.t;       (* private copy *)
   jl_busy : int;
-  jl_pfw : int option;
+  jl_pfw : int;
   jl_casp : int;
   jl_llc : bool;
   jl_stamp_t : int;
@@ -258,15 +265,21 @@ let exec_sid_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 let set_exec_sid s = Domain.DLS.set exec_sid_key s
 let exec_sid () = Domain.DLS.get exec_sid_key
 
+(* The end of every waiter chain (its own [w_link] points back at it). *)
+let rec no_waiter =
+  { w_core = -1; w_addr = -1; w_op = Arch.Load; w_operand = 0; w_operand2 = 0;
+    w_while = 0; w_poll = 0; w_hit = 0; w_local = true; w_step = 1;
+    w_parked = 0; w_next = 0; w_replay = ignore; w_link = no_waiter }
+
 let dummy_line =
-  { state = Arch.Invalid; owner = None; sharers = Coreset.create (); home = 0;
-    busy_until = 0; pfw_owner = None; cas_pending = -1; llc_dirty = false;
-    waiters = [] }
+  { state = Arch.Invalid; owner = -1; sharers = Coreset.create (); home = 0;
+    busy_until = 0; pfw_owner = -1; cas_pending = -1; llc_dirty = false;
+    waiters = no_waiter }
 
 let make_slot () =
   {
     scratch =
-      { Cost_model.state = Arch.Invalid; owner = None;
+      { Cost_model.state = Arch.Invalid; owner = -1;
         sharers = Coreset.create (); home = 0; llc_dirty = false };
     path = Array.make Cost_model.max_path_len 0;
     last_result = 0;
@@ -368,10 +381,7 @@ let create platform =
    parked-probe replay closures can retain an entire dead simulation. *)
 let dispose t =
   for li = 0 to t.n_lines - 1 do
-    let l = t.lines.(li) in
-    l.waiters <- [];
-    l.owner <- None;
-    l.pfw_owner <- None
+    t.lines.(li).waiters <- no_waiter
   done;
   t.ckpt <- None;
   t.n_lines <- 0;
@@ -490,20 +500,20 @@ let new_line t ~home =
   let l = t.lines.(li) in
   if l == dummy_line then
     t.lines.(li) <-
-      { state = Arch.Invalid; owner = None; sharers = Coreset.create (); home;
-        busy_until = 0; pfw_owner = None; cas_pending = -1; llc_dirty = false;
-        waiters = [] }
+      { state = Arch.Invalid; owner = -1; sharers = Coreset.create (); home;
+        busy_until = 0; pfw_owner = -1; cas_pending = -1; llc_dirty = false;
+        waiters = no_waiter }
   else begin
     (* recycled record: reset in place, sparing the allocation *)
     l.state <- Arch.Invalid;
-    l.owner <- None;
+    l.owner <- -1;
     Coreset.clear l.sharers;
     l.home <- home;
     l.busy_until <- 0;
-    l.pfw_owner <- None;
+    l.pfw_owner <- -1;
     l.cas_pending <- -1;
     l.llc_dirty <- false;
-    l.waiters <- []
+    l.waiters <- no_waiter
   end;
   t.res.(li) <- -1;
   t.stamp_t.(li) <- -1;
@@ -648,7 +658,7 @@ let[@inline] journal_word t a =
    here and fully reconstructed by the replay). *)
 let checkpoint t =
   for li = 0 to t.n_lines - 1 do
-    if t.lines.(li).waiters <> [] then
+    if t.lines.(li).waiters != no_waiter then
       invalid_arg "Memory.checkpoint: parked waiters present"
   done;
   t.ckpt <-
@@ -689,7 +699,7 @@ let restore t =
           l.pfw_owner <- j.jl_pfw;
           l.cas_pending <- j.jl_casp;
           l.llc_dirty <- j.jl_llc;
-          l.waiters <- [];
+          l.waiters <- no_waiter;
           t.stamp_t.(j.jl_li) <- j.jl_stamp_t;
           t.stamp_tid.(j.jl_li) <- j.jl_stamp_tid;
           if t.msince <> [||] then t.msince.(j.jl_li) <- j.jl_msince)
@@ -700,7 +710,7 @@ let restore t =
       (* drop post-checkpoint allocations; clear their waiter lists so
          truncated records don't retain dead replay closures *)
       for li = c.c_n_lines to t.n_lines - 1 do
-        t.lines.(li).waiters <- []
+        t.lines.(li).waiters <- no_waiter
       done;
       t.n_lines <- c.c_n_lines;
       t.n_words <- c.c_n_words;
@@ -817,7 +827,7 @@ let peeked_this_window t a = t.peek_gens.(line_id t a) = t.gen
 
 (* Refill the slot's scratch view from [l]; [sharers] aliases the
    line's set, which the cost model only reads. *)
-let view_of_line (sl : slot) (l : line) : Cost_model.view =
+let view_of_line (sl : slot) (l : line) : Cost_model.line_view =
   let v = sl.scratch in
   v.Cost_model.state <- l.state;
   v.Cost_model.owner <- l.owner;
@@ -826,15 +836,15 @@ let view_of_line (sl : slot) (l : line) : Cost_model.view =
   v.Cost_model.llc_dirty <- l.llc_dirty;
   v
 
-let holds l core = l.owner = Some core || Coreset.mem l.sharers core
+let holds l core = l.owner = core || Coreset.mem l.sharers core
 
 (* Is this access served entirely from the requester's own cache (no
    global transaction, no serialization)? *)
 let is_local_hit (l : line) core (op : Arch.memop) =
   match op with
   | Arch.Load -> holds l core
-  | Arch.Store -> l.owner = Some core
-  | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> l.owner = Some core
+  | Arch.Store -> l.owner = core
+  | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> l.owner = core
 
 (* A fetch-and-add of 0 is an exclusive-prefetch probe (prefetchw +
    load, section 5.3): it costs a store-intent transfer, not a locked
@@ -852,7 +862,8 @@ let is_pfw_probe (op : Arch.memop) ~operand ~operand2 =
    against this probe? *)
 let foreign_reservation (l : line) ~core op ~operand ~operand2 =
   is_pfw_probe op ~operand ~operand2
-  && (match l.pfw_owner with Some o -> o <> core | None -> false)
+  && l.pfw_owner >= 0
+  && l.pfw_owner <> core
 
 (* Cycles a [Store] retires in when it drains through the store buffer
    instead of stalling the thread (the transfer itself still runs in
@@ -860,21 +871,19 @@ let foreign_reservation (l : line) ~core op ~operand ~operand2 =
 let store_buffer_retire = 12
 
 
-(* What the next probe of this spin would cost, and whether it is a
-   foreign-reservation directed read.  Shared between [access],
+(* What the next probe of this spin would cost: a directed read under
+   a foreign reservation, its own cost class otherwise.  Shared between
    [try_park] (the parked poll grid must charge the same per-probe cost
    the literal loop would) and [wake_disturbed] (a parked waiter whose
    probe cost changed must replay for real to stay on the polled
    schedule). *)
-let probe_cost t (sl : slot) (l : line) ~core (op : Arch.memop) ~operand
+let probe_hit t (sl : slot) (l : line) ~core (op : Arch.memop) ~operand
     ~operand2 =
-  let foreign = foreign_reservation l ~core op ~operand ~operand2 in
   let cost_op =
-    if foreign then Arch.Load else cost_op_of op ~operand ~operand2
+    if foreign_reservation l ~core op ~operand ~operand2 then Arch.Load
+    else cost_op_of op ~operand ~operand2
   in
-  ( foreign,
-    t.platform.Platform.op_latency cost_op ~requester:core (view_of_line sl l)
-  )
+  t.platform.Platform.op_latency cost_op ~requester:core (view_of_line sl l)
 
 (* Protocol state transition after [core] performs [op].  MOESI
    (Opteron) keeps a dirty line in the previous owner's cache in Owned
@@ -892,28 +901,27 @@ let transition t (l : line) core (op : Arch.memop) =
   | Arch.Load ->
       if holds l core then 0
       else begin
-        (match (l.state, l.owner) with
-        | (Arch.Modified, Some o) when moesi ->
+        let o = l.owner in
+        (match l.state with
+        | Arch.Modified when o >= 0 && moesi ->
             (* owner keeps its dirty copy in Owned state *)
             l.state <- Arch.Owned;
-            l.owner <- Some o;
             Coreset.add l.sharers core
-        | ((Arch.Modified | Arch.Exclusive), Some o) ->
+        | (Arch.Modified | Arch.Exclusive) when o >= 0 ->
             l.state <- Arch.Shared;
-            l.owner <- None;
+            l.owner <- -1;
             Coreset.add l.sharers core;
             Coreset.add l.sharers o
-        | (Arch.Owned, Some _) -> Coreset.add l.sharers core
-        | ((Arch.Shared | Arch.Forward), _) -> Coreset.add l.sharers core
-        | (Arch.Invalid, _) ->
+        | Arch.Owned when o >= 0 -> Coreset.add l.sharers core
+        | Arch.Shared | Arch.Forward -> Coreset.add l.sharers core
+        | Arch.Invalid ->
             l.state <- Arch.Exclusive;
-            l.owner <- Some core;
+            l.owner <- core;
             Coreset.clear l.sharers
-        | ((Arch.Modified | Arch.Exclusive), None)
-        | (Arch.Owned, None) ->
-            (* inconsistent: repair as a fresh exclusive fill *)
+        | Arch.Modified | Arch.Exclusive | Arch.Owned ->
+            (* inconsistent (no owner): repair as a fresh exclusive fill *)
             l.state <- Arch.Exclusive;
-            l.owner <- Some core;
+            l.owner <- core;
             Coreset.clear l.sharers)
         ;
         0
@@ -922,10 +930,10 @@ let transition t (l : line) core (op : Arch.memop) =
       let killed =
         Coreset.cardinal l.sharers
         - (if Coreset.mem l.sharers core then 1 else 0)
-        + (match l.owner with Some o when o <> core -> 1 | _ -> 0)
+        + (if l.owner >= 0 && l.owner <> core then 1 else 0)
       in
       l.state <- Arch.Modified;
-      l.owner <- Some core;
+      l.owner <- core;
       Coreset.clear l.sharers;
       killed
 
@@ -984,7 +992,7 @@ let probe_inert (l : line) ~value ~core (op : Arch.memop) ~operand ~operand2
          prober with no sharer left to invalidate — or a prefetchw
          probe under another waiter's reservation, which degrades to a
          directed read that changes neither state nor value *)
-      (l.state = Arch.Modified && l.owner = Some core
+      (l.state = Arch.Modified && l.owner = core
        && Coreset.is_empty l.sharers)
       || foreign_reservation l ~core op ~operand ~operand2
 
@@ -1003,7 +1011,8 @@ let try_park_in t ~slot:sl ~core ~now (op : Arch.memop) (a : addr) ~operand
     (* parking mutates the waiter list: journal so a rollback drops the
        parked spinner with the rest of the attempt *)
     journal_line t li;
-    let foreign, hit = probe_cost t sl l ~core op ~operand ~operand2 in
+    let foreign = foreign_reservation l ~core op ~operand ~operand2 in
+    let hit = probe_hit t sl l ~core op ~operand ~operand2 in
     let w =
       {
         w_core = core;
@@ -1019,9 +1028,18 @@ let try_park_in t ~slot:sl ~core ~now (op : Arch.memop) (a : addr) ~operand
         w_parked = now;
         w_next = now + poll;
         w_replay = replay;
+        w_link = no_waiter;
       }
     in
-    l.waiters <- l.waiters @ [ w ];
+    (* append: wake order is park order *)
+    if l.waiters == no_waiter then l.waiters <- w
+    else begin
+      let last = ref l.waiters in
+      while (!last).w_link != no_waiter do
+        last := (!last).w_link
+      done;
+      (!last).w_link <- w
+    end;
     true
   end
 
@@ -1029,7 +1047,13 @@ let try_park t ~core ~now op a ~operand ~operand2 ~while_ ~poll ~replay =
   try_park_in t ~slot:t.slots.(0) ~core ~now op a ~operand ~operand2 ~while_
     ~poll ~replay
 
-let waiter_count t a = List.length (line t a).waiters
+let waiter_count t a =
+  let n = ref 0 and w = ref (line t a).waiters in
+  while !w != no_waiter do
+    incr n;
+    w := (!w).w_link
+  done;
+  !n
 
 let probe_would_elide t ~core (op : Arch.memop) (a : addr) ~operand ~operand2
     ~while_ =
@@ -1040,18 +1064,20 @@ let probe_would_elide t ~core (op : Arch.memop) (a : addr) ~operand ~operand2
    probe that would have issued strictly before [now] under the state
    the line held since the last real access. *)
 let settle_elided t (sl : slot) (l : line) ~now =
-  List.iter
-    (fun w ->
-      if w.w_next < now then begin
-        let k = 1 + ((now - 1 - w.w_next) / w.w_step) in
-        Stats.record_elided sl.stats w.w_op ~count:k ~latency:w.w_hit
-          ~local:w.w_local;
-        (match t.trace with
-        | Some tr -> Trace.note_elided tr ~count:k ~cycles:(k * w.w_hit)
-        | None -> ());
-        w.w_next <- w.w_next + (k * w.w_step)
-      end)
-    l.waiters
+  let w = ref l.waiters in
+  while !w != no_waiter do
+    let w' = !w in
+    if w'.w_next < now then begin
+      let k = 1 + ((now - 1 - w'.w_next) / w'.w_step) in
+      Stats.record_elided sl.stats w'.w_op ~count:k ~latency:w'.w_hit
+        ~local:w'.w_local;
+      (match t.trace with
+      | Some tr -> Trace.note_elided tr ~count:k ~cycles:(k * w'.w_hit)
+      | None -> ());
+      w'.w_next <- w'.w_next + (k * w'.w_step)
+    end;
+    w := w'.w_link
+  done
 
 (* Phase 2, after the mutation: wake every waiter whose next probe is
    no longer inert — or whose probe cost changed (e.g. a parked
@@ -1065,45 +1091,56 @@ let settle_elided t (sl : slot) (l : line) ~now =
    access to *any* word of the line: its own value may be untouched
    (the probe stays inert and it stays parked), but the line state the
    probe relies on may have changed under it — false sharing hits
-   parked spinners too. *)
+   parked spinners too.  The chain is split in place — the woken
+   waiters relinked through their own [w_link]s — so revalidation
+   allocates nothing. *)
 let wake_disturbed t (sl : slot) ~line:li (l : line) =
-  match l.waiters with
-  | [] -> ()
-  | ws ->
-      let still, woken =
-        List.partition
-          (fun w ->
-            probe_inert l ~value:t.values.(w.w_addr) ~core:w.w_core w.w_op
-              ~operand:w.w_operand ~operand2:w.w_operand2 ~while_:w.w_while
-            && snd
-                 (probe_cost t sl l ~core:w.w_core w.w_op ~operand:w.w_operand
-                    ~operand2:w.w_operand2)
-               = w.w_hit)
-          ws
-      in
-      l.waiters <- still;
-      List.iter
-        (fun w ->
-          (* waiter-depth gauge, charged at wake: the whole parked span
-             is known only now, and an aborted attempt's charges vanish
-             with the undrained slot accumulator *)
-          (match sl.macc with
-          | Some m ->
-              Metrics.span m ~kind:Metrics.k_lock_waiters ~id:li ~t0:w.w_parked
-                ~t1:w.w_next ~weight:1
-          | None -> ());
-          w.w_replay w.w_next)
-        woken
+  let w = ref l.waiters in
+  let kept = ref no_waiter and woken = ref no_waiter and woken_last = ref no_waiter in
+  l.waiters <- no_waiter;
+  while !w != no_waiter do
+    let w' = !w in
+    w := w'.w_link;
+    w'.w_link <- no_waiter;
+    if
+      probe_inert l ~value:t.values.(w'.w_addr) ~core:w'.w_core w'.w_op
+        ~operand:w'.w_operand ~operand2:w'.w_operand2 ~while_:w'.w_while
+      && probe_hit t sl l ~core:w'.w_core w'.w_op ~operand:w'.w_operand
+           ~operand2:w'.w_operand2
+         = w'.w_hit
+    then begin
+      if !kept == no_waiter then l.waiters <- w' else (!kept).w_link <- w';
+      kept := w'
+    end
+    else begin
+      if !woken_last == no_waiter then woken := w'
+      else (!woken_last).w_link <- w';
+      woken_last := w'
+    end
+  done;
+  let w = ref !woken in
+  while !w != no_waiter do
+    let w' = !w in
+    w := w'.w_link;
+    w'.w_link <- no_waiter;
+    (* waiter-depth gauge, charged at wake: the whole parked span is
+       known only now, and an aborted attempt's charges vanish with the
+       undrained slot accumulator *)
+    (match sl.macc with
+    | Some m ->
+        Metrics.span m ~kind:Metrics.k_lock_waiters ~id:li ~t0:w'.w_parked
+          ~t1:w'.w_next ~weight:1
+    | None -> ());
+    w'.w_replay w'.w_next
+  done
 
 (* Distance class of the transfer serving [core]'s request on [l] in
    its *pre-access* state: to the data source when a cached copy
    exists, to the line's home otherwise.  Trace-only; must run before
    [transition] mutates the line (and its aliased sharer set). *)
 let dist_of t (sl : slot) ~core (l : line) : Arch.distance =
-  let topo = t.platform.Platform.topo in
-  match Cost_model.source_core topo ~requester:core (view_of_line sl l) with
-  | Some src -> Cost_model.class_to_core topo ~requester:core src
-  | None -> Cost_model.class_to_home topo ~requester:core (view_of_line sl l)
+  Cost_model.source_class t.platform.Platform.topo ~requester:core
+    (view_of_line sl l)
 
 (* Sharded-execution guard for the resource path in [sl.path]:
    - inside a window, only the shard owning a resource (the shard of
@@ -1148,8 +1185,9 @@ let guard_resources t (sl : slot) ~core ~now ~line:li npath =
     t.rstamp_line.(r) <- li
   done
 
-(* Perform [op] on [a] from [core] at virtual time [now]; returns
-   (completion latency in cycles, result value).  For [Cas], [operand]
+(* Perform [op] on [a] from [core] at virtual time [now]; returns the
+   completion latency in cycles and leaves the result value in the
+   slot's [last_result] (read it with [last_result_in]).  For [Cas], [operand]
    is the expected value and [operand2] the desired one ([fetch]
    changes its result from the 1/0 success flag to the observed
    pre-operation value); for [Store] and [Swap], [operand] is the value
@@ -1159,9 +1197,11 @@ let guard_resources t (sl : slot) ~core ~now ~line:li npath =
    the line exclusively and reserves it, or — under another core's
    reservation — degrades to a directed read snoop.  [slot] selects the
    shard's scratch/stats slot; serial callers use the [access_lat]
-   wrapper on slot 0. *)
-let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
-    ~slot:(sl : slot) ~core ~now (op : Arch.memop) (a : addr) : int =
+   wrapper on slot 0.  Every argument is mandatory: this is the
+   engine's per-operation entry, and an optional argument would box a
+   [Some] per call. *)
+let access_lat_in t ~slot:(sl : slot) ~core ~now (op : Arch.memop) (a : addr)
+    ~operand ~operand2 ~fetch : int =
   Topology.check t.platform.Platform.topo core;
   let li = line_id t a in
   let l = t.lines.(li) in
@@ -1195,7 +1235,7 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
        snapshots wholesale) *)
     journal_line t li;
     journal_word t a;
-    if l.waiters <> [] then settle_elided t sl l ~now;
+    if l.waiters != no_waiter then settle_elided t sl l ~now;
     let is_pfw = is_pfw_probe op ~operand ~operand2 in
     let posted = op = Arch.Store && operand2 = 1 in
     let cost_op = cost_op_of op ~operand ~operand2 in
@@ -1219,7 +1259,8 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
     let n_nodes = topo.Topology.n_nodes in
     let npath =
       if local then 0
-      else Cost_model.fill_path topo ~requester:core (view_of_line sl l)
+      else
+        Cost_model.line_fill_path topo ~requester:core (view_of_line sl l)
           sl.path
     in
     if t.sharding && npath > 0 then
@@ -1267,8 +1308,7 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
           Metrics.span m ~kind ~id ~t0:start_line ~t1:start ~weight:1
         end;
         let pop =
-          Coreset.cardinal l.sharers
-          + (match l.owner with Some _ -> 1 | None -> 0)
+          Coreset.cardinal l.sharers + if l.owner >= 0 then 1 else 0
         in
         if start > t.msince.(li) then begin
           Metrics.span m ~kind:Metrics.k_line_sharers ~id:li
@@ -1311,7 +1351,7 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
     let observed = t.values.(a) in
     let result = apply_data t a op ~operand ~operand2 in
     let result = if fetch && op = Arch.Cas then observed else result in
-    l.pfw_owner <- (if is_pfw then Some core else None);
+    l.pfw_owner <- (if is_pfw then core else -1);
     (* pending-request arbitration: this access satisfies any request
        [core] had posted; a CAS that just lost (non-locally) posts its
        requester for the next grant.  The first posted loser keeps the
@@ -1345,21 +1385,17 @@ let access_lat_in ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t
                  rq = (if posted then 0 else rqueued);
                  rq_dir = (!qres >= 0 && !qres < n_nodes) })
     | None -> ());
-    if l.waiters <> [] then wake_disturbed t sl ~line:li l;
+    if l.waiters != no_waiter then wake_disturbed t sl ~line:li l;
     sl.last_result <- result;
     latency
   end
 
-let access_lat ?operand ?operand2 ?fetch t ~core ~now op a =
-  access_lat_in ?operand ?operand2 ?fetch t ~slot:t.slots.(0) ~core ~now op a
+let access_lat ?(operand = 0) ?(operand2 = 0) ?(fetch = false) t ~core ~now
+    op a =
+  access_lat_in t ~slot:t.slots.(0) ~core ~now op a ~operand ~operand2 ~fetch
 
 let last_result t = t.slots.(0).last_result
 let last_result_in (sl : slot) = sl.last_result
-
-let access ?operand ?operand2 ?fetch t ~core ~now (op : Arch.memop) (a : addr)
-    : int * int =
-  let latency = access_lat ?operand ?operand2 ?fetch t ~core ~now op a in
-  (latency, last_result t)
 
 (* Expected latency of [op] issued by [core] right now, without doing
    it — used by ccbench to report best-case protocol latencies. *)
@@ -1385,10 +1421,10 @@ let force_state t ~holder ?(second = -1) (st : Arch.cstate) (a : addr) =
   let l = line t a in
   (* wipe: back to invalid *)
   l.state <- Arch.Invalid;
-  l.owner <- None;
+  l.owner <- -1;
   Coreset.clear l.sharers;
   l.busy_until <- 0;
-  l.pfw_owner <- None;
+  l.pfw_owner <- -1;
   l.cas_pending <- -1;
   l.llc_dirty <- false;
   reset_resources t;
@@ -1399,17 +1435,17 @@ let force_state t ~holder ?(second = -1) (st : Arch.cstate) (a : addr) =
   (match st with
   | Arch.Invalid -> ()
   | Arch.Exclusive ->
-      ignore (access t ~core:holder ~now:0 Arch.Load a)
+      ignore (access_lat t ~core:holder ~now:0 Arch.Load a)
   | Arch.Modified ->
-      ignore (access t ~core:holder ~now:0 Arch.Store a ~operand:t.values.(a))
+      ignore (access_lat t ~core:holder ~now:0 Arch.Store a ~operand:t.values.(a))
   | Arch.Shared | Arch.Forward ->
-      ignore (access t ~core:holder ~now:0 Arch.Load a);
-      ignore (access t ~core:second ~now:0 Arch.Load a);
+      ignore (access_lat t ~core:holder ~now:0 Arch.Load a);
+      ignore (access_lat t ~core:second ~now:0 Arch.Load a);
       l.state <- Arch.Shared
   | Arch.Owned ->
       (* dirty at holder, then loaded by another core (MOESI only) *)
-      ignore (access t ~core:holder ~now:0 Arch.Store a ~operand:t.values.(a));
-      ignore (access t ~core:second ~now:0 Arch.Load a);
+      ignore (access_lat t ~core:holder ~now:0 Arch.Store a ~operand:t.values.(a));
+      ignore (access_lat t ~core:second ~now:0 Arch.Load a);
       (match t.platform.Platform.id with
       | Arch.Opteron | Arch.Opteron2 -> ()
       | _ -> invalid_arg "Memory.force_state: Owned requires MOESI");

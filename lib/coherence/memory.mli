@@ -33,14 +33,16 @@ type addr = int
 
 type line = {
   mutable state : Arch.cstate;
-  mutable owner : int option;  (** core holding Modified/Owned/Exclusive *)
+  mutable owner : int;
+      (** core holding Modified/Owned/Exclusive, [-1] = none (a plain
+          int, so ownership updates and tests allocate nothing) *)
   sharers : Coreset.t;  (** cores holding Shared copies *)
   mutable home : int;
       (** home node (directory / home tile / memory); mutable only so
           disposed memories can recycle line records in place *)
   mutable busy_until : int;  (** virtual time the line is occupied until *)
-  mutable pfw_owner : int option;
-      (** core holding the exclusive-prefetch reservation: set by a
+  mutable pfw_owner : int;
+      (** core holding the exclusive-prefetch reservation ([-1] = none): set by a
           prefetchw probe, cleared by any other real access; foreign
           prefetchw probes degrade to directed read snoops meanwhile *)
   mutable cas_pending : int;
@@ -52,7 +54,9 @@ type line = {
       (** the last write drained through the store buffer into the
           inclusive LLC: a same-die fetch of this Modified line is an
           LLC hit, not an owner round trip (Xeon) *)
-  mutable waiters : waiter list;  (** parked spinners, FIFO *)
+  mutable waiters : waiter;
+      (** the first parked spinner, later ones chained in park order
+          through {!waiter.w_link}; {!no_waiter} when none *)
 }
 (** Sharded-execution bookkeeping (residency, conflict stamps, peek
     generations) is held in side arrays indexed by line — see
@@ -83,7 +87,11 @@ and waiter = {
           gauge charges the whole span at wake *)
   mutable w_next : int;
   w_replay : int -> unit;
+  mutable w_link : waiter;  (** next waiter on the line, {!no_waiter} last *)
 }
+
+val no_waiter : waiter
+(** The end of every waiter chain. *)
 
 type t
 
@@ -260,11 +268,30 @@ val clear_stamps : t -> unit
     arms the resource ownership/stamp guards for this memory. *)
 
 val access_lat_in :
-  ?operand:int -> ?operand2:int -> ?fetch:bool -> t -> slot:slot ->
-  core:int -> now:int -> Arch.memop -> addr -> int
-(** {!access_lat} against an explicit shard slot. *)
+  t -> slot:slot -> core:int -> now:int -> Arch.memop -> addr ->
+  operand:int -> operand2:int -> fetch:bool -> int
+(** [access_lat_in t ~slot ~core ~now op a ~operand ~operand2 ~fetch]
+    performs [op] at virtual time [now] and returns its completion
+    latency; the result value is left in the slot, read it with
+    {!last_result_in}.  For [Cas], [operand]/[operand2] are
+    expected/desired (result 1 on success; [fetch] makes the result the
+    observed pre-operation value instead); for [Store]/[Swap],
+    [operand] is the value written — [Store] with [operand2 = 1] posts
+    through the store buffer: the thread pays only the retire cost
+    while the transfer (transition, invalidations, occupancy) completes
+    in the background; for [Fai], [operand] is the increment — 0 makes
+    it an exclusive-prefetch probe that reserves the line
+    ({!line.pfw_owner}) or, under a foreign reservation, degrades to a
+    directed read snoop; [Fai] with [operand2 = 1] marks a store-class
+    single-writer update.  A real access additionally settles and
+    revalidates the line's parked waiters.
+
+    This is the engine's per-operation entry: every argument is
+    mandatory (an optional one would box a [Some] per call) and the
+    call allocates nothing unless tracing or metrics are on. *)
 
 val last_result_in : slot -> int
+(** Result value of the most recent {!access_lat_in} on this slot. *)
 
 val try_park_in :
   t -> slot:slot -> core:int -> now:int -> Arch.memop -> addr ->
@@ -287,30 +314,13 @@ val alloc_packed : ?home_core:int -> ?value:int -> t -> int -> addr
     one line share coherence state, occupancy and waiters — the
     allocator that makes false sharing happen. *)
 
-val access :
-  ?operand:int -> ?operand2:int -> ?fetch:bool -> t -> core:int -> now:int ->
-  Arch.memop -> addr -> int * int
-(** [access t ~core ~now op a] performs [op] at virtual time [now];
-    returns [(latency, result)].  For [Cas], [operand]/[operand2] are
-    expected/desired (result 1 on success; [fetch] makes the result the
-    observed pre-operation value instead); for [Store]/[Swap],
-    [operand] is the value written — [Store] with [operand2 = 1] posts
-    through the store buffer: the thread pays only the retire cost
-    while the transfer (transition, invalidations, occupancy) completes
-    in the background; for [Fai], [operand] is the increment — 0 makes
-    it an exclusive-prefetch probe that reserves the line
-    ({!line.pfw_owner}) or, under a foreign reservation, degrades to a
-    directed read snoop; [Fai] with [operand2 = 1] marks a store-class
-    single-writer update.  A real access additionally settles and
-    revalidates the line's parked waiters. *)
-
 val access_lat :
   ?operand:int -> ?operand2:int -> ?fetch:bool -> t -> core:int -> now:int ->
   Arch.memop -> addr -> int
-(** Exactly {!access}, but returns only the latency and leaves the
-    result value in {!last_result} — the engine's per-operation hot
-    path, which would otherwise allocate one [(latency, result)] tuple
-    per simulated memory access. *)
+(** {!access_lat_in} on slot 0 with [operand], [operand2] (default 0)
+    and [fetch] (default [false]) optional — the convenience entry for
+    tests, ccbench and probes.  Returns the latency; the result value
+    is read with {!last_result}. *)
 
 val last_result : t -> int
 (** Result value of the most recent {!access_lat} on this memory. *)
@@ -322,7 +332,7 @@ val try_park :
 (** Park the calling spinner on the line iff its next probe (issuing
     at [now + poll]) would be inert: a local hit that changes neither
     the protocol state nor the value, returning [while_].  When it
-    returns [false] the probe must be performed with {!access}.
+    returns [false] the probe must be performed with {!access_lat}.
     [replay] is called with the first non-elided probe's issue time
     once a real access disturbs the line. *)
 

@@ -15,9 +15,10 @@
    sections) without any ordering hazard, because ordering lives in the
    results array, not in execution time.
 
-   Each job's engine-counter delta ([Sim.perf]) and wall time are
-   captured inside the domain that executed it; callers sum the per-job
-   stats into per-section totals instead of reading a global. *)
+   Each job's engine-counter delta ([Sim.perf]), wall time and GC
+   allocation deltas are captured inside the domain that executed it;
+   callers sum the per-job stats into per-section totals instead of
+   reading a global. *)
 
 module Trace = Ssync_trace.Trace
 module Metrics = Ssync_metrics.Metrics
@@ -25,6 +26,8 @@ module Metrics = Ssync_metrics.Metrics
 type stats = {
   wall_ns : int;  (** wall-clock spent executing the job *)
   perf : Sim.perf;  (** engine-counter delta attributable to the job *)
+  minor_words : int;  (** minor-heap words the job allocated *)
+  promoted_words : int;  (** words promoted to the major heap meanwhile *)
   trace : Trace.t option;
       (** the job's trace, when tracing was requested ([Trace.requested]):
           one fresh sink per job, installed in the executing domain, so
@@ -57,26 +60,34 @@ let () =
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Run [thunks.(i)] capturing its result, engine-counter delta and wall
-   time.  Must execute in the domain that owns the slot's work so the
-   domain-local counters attribute correctly. *)
+(* Run [thunks.(i)] capturing its result, engine-counter delta, wall
+   time and allocation.  Must execute in the domain that owns the
+   slot's work so the domain-local counters attribute correctly: the
+   engine counters and both GC counts ([Gc.minor_words] and
+   [Gc.counters] read only this domain, unlike [Gc.quick_stat]). *)
 let exec_one ~traced ~sampled (thunks : (unit -> 'a) array)
     (results : 'a outcome array) (stats : stats array) i =
   let trace = if traced then Some (Trace.start ()) else None in
   let metrics = if sampled then Some (Metrics.start ()) else None in
   let before = Sim.cumulative_perf () in
+  let _, promoted0, _ = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   (results.(i) <-
     (match thunks.(i) () with
     | v -> Ok_r v
     | exception e -> Error_r e));
   let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  let minor_words = int_of_float (Gc.minor_words () -. minor0) in
+  let _, promoted1, _ = Gc.counters () in
   if traced then ignore (Trace.stop ());
   if sampled then ignore (Metrics.stop ());
   stats.(i) <-
     {
       wall_ns;
       perf = Sim.perf_diff (Sim.cumulative_perf ()) before;
+      minor_words;
+      promoted_words = int_of_float (promoted1 -. promoted0);
       trace;
       metrics;
     }
@@ -111,15 +122,16 @@ let finish (results : 'a outcome array) (stats : stats array) :
           invalid_arg (Printf.sprintf "Pool.run: job %d never ran" i))
     results
 
+let zero_stats =
+  { wall_ns = 0; perf = Sim.perf_zero; minor_words = 0; promoted_words = 0;
+    trace = None; metrics = None }
+
 let run ?jobs (thunks : (unit -> 'a) array) : ('a * stats) array =
   let n = Array.length thunks in
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
   let results = Array.make n Not_run in
-  let stats =
-    Array.make n
-      { wall_ns = 0; perf = Sim.perf_zero; trace = None; metrics = None }
-  in
+  let stats = Array.make n zero_stats in
   (* read once in the submitting domain; workers capture the values, so
      no domain races on the flags themselves *)
   let traced = !Trace.requested in
@@ -157,11 +169,12 @@ let total_stats (results : ('a * stats) array) : stats =
       {
         wall_ns = acc.wall_ns + s.wall_ns;
         perf = Sim.perf_add acc.perf s.perf;
+        minor_words = acc.minor_words + s.minor_words;
+        promoted_words = acc.promoted_words + s.promoted_words;
         trace = None;
         metrics = None;
       })
-    { wall_ns = 0; perf = Sim.perf_zero; trace = None; metrics = None }
-    results
+    zero_stats results
 
 (* Per-job traces in submission order (empty when tracing was off). *)
 let traces (results : ('a * stats) array) : Trace.t list =

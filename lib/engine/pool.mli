@@ -4,13 +4,22 @@
     across up to [jobs] domains (the calling domain included) and
     returns results in submission order, so downstream rendering is
     byte-identical whatever the parallelism.  Each result carries the
-    wall time and the engine-counter delta ({!Sim.perf}) measured
-    inside the domain that executed the job — the counters are
-    domain-local, so concurrent jobs never race on them. *)
+    wall time, the engine-counter delta ({!Sim.perf}) and the GC
+    allocation deltas measured inside the domain that executed the job
+    — all of them domain-local, so concurrent jobs never race on
+    them. *)
 
 type stats = {
   wall_ns : int;  (** wall-clock spent executing the job *)
   perf : Sim.perf;  (** engine-counter delta attributable to the job *)
+  minor_words : int;
+      (** words the job allocated on the minor heap, read with the
+          domain-local [Gc.minor_words]: jobs running on other domains
+          never leak into the count, and at [jobs = 1] it repeats
+          exactly from run to run *)
+  promoted_words : int;
+      (** words the executing domain promoted to the major heap while
+          the job ran ([Gc.counters], domain-local too) *)
   trace : Ssync_trace.Trace.t option;
       (** the job's trace when [Ssync_trace.Trace.requested] was set at
           submission time: a fresh sink installed around the job in

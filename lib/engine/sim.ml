@@ -142,6 +142,15 @@ type thread_state = {
          3 dead — codes chosen so [Metrics.k_runnable + m_state] is
          the gauge kind.  Maintained only while metrics are on. *)
   mutable m_since : int; (* virtual time the current run-state began *)
+  mutable e_op : Arch.memop;
+  mutable e_addr : int;
+  mutable e_x : int;
+  mutable e_y : int;
+  mutable e_fetch : bool;
+  mutable e_while : int;
+  mutable e_poll : int;
+      (* the payload of the thread's latest per-operation perform,
+         stored by [effc] for the handlers [spawn] preallocates *)
 }
 
 (* One shard of the simulation.  Serial execution is the one-shard
@@ -407,10 +416,10 @@ let lookahead_of (platform : Platform.t) =
   | Some w -> w
   | None ->
       let topo = platform.Platform.topo in
-      let v =
+      let v : Cost_model.line_view =
         {
-          Cost_model.state = Arch.Modified;
-          owner = None;
+          state = Arch.Modified;
+          owner = -1;
           sharers = Coreset.create ();
           home = 0;
           llc_dirty = false;
@@ -421,9 +430,9 @@ let lookahead_of (platform : Platform.t) =
       for c2 = 0 to topo.Topology.n_cores - 1 do
         let n2 = topo.Topology.node_of_core c2 in
         if n2 <> n0 then begin
-          v.Cost_model.owner <- Some c2;
-          v.Cost_model.home <- n2;
-          let l = Cost_model.op_latency topo Arch.Load ~requester:0 v in
+          v.owner <- c2;
+          v.home <- n2;
+          let l = Cost_model.line_latency topo Arch.Load ~requester:0 v in
           if l < !best then best := l
         end
       done;
@@ -1008,6 +1017,24 @@ let rec mem_sharded t st (k : (int, unit) Effect.Deep.continuation) op a
     resume_int t st k ~at:(sh.s_now + latency) v
   end
 
+(* One memory operation of [st] ([E_mem] / [E_casf]). *)
+let mem_op t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
+    ~operand2 ~fetch =
+  if t.nshards = 1 then begin
+    let sh = st.sh in
+    (match t.trace with
+    | Some tr -> Trace.set_tid tr st.tid
+    | None -> ());
+    let latency =
+      Memory.access_lat_in t.mem ~slot:sh.slot ~core:st.core ~now:sh.s_now op
+        a ~operand ~operand2 ~fetch
+    in
+    let v = Memory.last_result_in sh.slot in
+    let latency = latency + fault_extra t st ~mem_op:true in
+    resume_int t st k ~at:(sh.s_now + latency) v
+  end
+  else mem_sharded t st k op a ~operand ~operand2 ~fetch
+
 (* The [E_spin] state machine.  Invoked with the thread suspended right
    after observing [while_]; the first probe issues at [now + poll],
    exactly like the poll loop's [pause poll; probe].  Whenever the next
@@ -1052,7 +1079,7 @@ let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
         in
         let latency =
           Memory.access_lat_in t.mem ~slot:sh.slot ~core ~now:sh.s_now op a
-            ~operand ~operand2
+            ~operand ~operand2 ~fetch:false
         in
         let x = Memory.last_result_in sh.slot in
         let latency =
@@ -1230,6 +1257,13 @@ let spawn t ~core body =
       run_uk = ignore;
       m_state = m_runnable;
       m_since = now_of t;
+      e_op = Arch.Load;
+      e_addr = 0;
+      e_x = 0;
+      e_y = 0;
+      e_fetch = false;
+      e_while = 0;
+      e_poll = 0;
     }
   in
   st.run_ik <-
@@ -1253,6 +1287,49 @@ let spawn t ~core body =
   | Some tr -> Trace.emit tr ~ts:sh.s_now (Trace.E_thread { tid; core })
   | None -> ());
   let open Effect.Deep in
+  (* The per-operation handlers, allocated once per thread: [effc]
+     stores the payload in [st] and returns one of these instead of a
+     fresh [Some (fun k -> ...)] closure per perform.  Each reads the
+     payload before anything else — a direct-run continue inside it may
+     perform again and overwrite it. *)
+  let on_mem =
+    Some
+      (fun (k : (int, unit) continuation) ->
+        mem_op t st k st.e_op st.e_addr ~operand:st.e_x ~operand2:st.e_y
+          ~fetch:st.e_fetch)
+  in
+  let on_spin =
+    Some
+      (fun (k : (int, unit) continuation) ->
+        spin_loop t st k st.e_op st.e_addr ~operand:st.e_x ~operand2:st.e_y
+          ~while_:st.e_while ~poll:st.e_poll)
+  in
+  let on_pause =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let cycles = st.e_x in
+        let cycles = max 1 cycles + fault_extra t st ~mem_op:false in
+        resume_unit_direct t st k ~at:(sh.s_now + cycles))
+  in
+  let on_now = Some (fun (k : (int, unit) continuation) -> continue k sh.s_now) in
+  let self_id = (core, tid) in
+  let on_self =
+    Some (fun (k : (int * int, unit) continuation) -> continue k self_id)
+  in
+  let on_evd =
+    Some (fun (k : (bool, unit) continuation) -> continue k (event_driven t))
+  in
+  let on_dead =
+    Some
+      (fun (k : (bool, unit) continuation) ->
+        let dead =
+          match Hashtbl.find_opt t.tstates st.e_x with
+          | Some qst ->
+              qst.crashed || (qst.crash_at >= 0 && sh.s_now >= qst.crash_at)
+          | None -> false
+        in
+        continue k dead)
+  in
   let handler : (unit, unit) handler =
     {
       retc =
@@ -1263,59 +1340,36 @@ let spawn t ~core body =
           sh.s_live <- sh.s_live - 1);
       exnc = (fun e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
           | E_mem (op, a, op1, op2) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  if t.nshards = 1 then begin
-                    (match t.trace with
-                    | Some tr -> Trace.set_tid tr tid
-                    | None -> ());
-                    let latency =
-                      Memory.access_lat_in t.mem ~slot:sh.slot ~core
-                        ~now:sh.s_now op a ~operand:op1 ~operand2:op2
-                    in
-                    let v = Memory.last_result_in sh.slot in
-                    let latency = latency + fault_extra t st ~mem_op:true in
-                    resume_int t st k ~at:(sh.s_now + latency) v
-                  end
-                  else
-                    mem_sharded t st k op a ~operand:op1 ~operand2:op2
-                      ~fetch:false)
+              st.e_op <- op;
+              st.e_addr <- a;
+              st.e_x <- op1;
+              st.e_y <- op2;
+              st.e_fetch <- false;
+              on_mem
           | E_casf (a, expected, desired) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  if t.nshards = 1 then begin
-                    (match t.trace with
-                    | Some tr -> Trace.set_tid tr tid
-                    | None -> ());
-                    let latency =
-                      Memory.access_lat_in t.mem ~slot:sh.slot ~core
-                        ~now:sh.s_now Arch.Cas a ~operand:expected
-                        ~operand2:desired ~fetch:true
-                    in
-                    let v = Memory.last_result_in sh.slot in
-                    let latency = latency + fault_extra t st ~mem_op:true in
-                    resume_int t st k ~at:(sh.s_now + latency) v
-                  end
-                  else
-                    mem_sharded t st k Arch.Cas a ~operand:expected
-                      ~operand2:desired ~fetch:true)
+              st.e_op <- Arch.Cas;
+              st.e_addr <- a;
+              st.e_x <- expected;
+              st.e_y <- desired;
+              st.e_fetch <- true;
+              on_mem
           | E_spin (op, a, op1, op2, while_, poll) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  spin_loop t st k op a ~operand:op1 ~operand2:op2 ~while_
-                    ~poll)
+              st.e_op <- op;
+              st.e_addr <- a;
+              st.e_x <- op1;
+              st.e_y <- op2;
+              st.e_while <- while_;
+              st.e_poll <- poll;
+              on_spin
           | E_pause cycles ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let cycles = max 1 cycles + fault_extra t st ~mem_op:false in
-                  resume_unit_direct t st k ~at:(sh.s_now + cycles))
-          | E_now ->
-              Some (fun (k : (a, unit) continuation) -> continue k sh.s_now)
-          | E_self ->
-              Some (fun (k : (a, unit) continuation) -> continue k (core, tid))
+              st.e_x <- cycles;
+              on_pause
+          | E_now -> on_now
+          | E_self -> on_self
           | E_barrier b ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -1341,21 +1395,10 @@ let spawn t ~core body =
                         unpark_wake t st pk)
                   else unpark_wake t st pk;
                   continue k ())
-          | E_evd ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  continue k (event_driven t))
+          | E_evd -> on_evd
           | E_dead qtid ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let dead =
-                    match Hashtbl.find_opt t.tstates qtid with
-                    | Some qst ->
-                        qst.crashed
-                        || (qst.crash_at >= 0 && sh.s_now >= qst.crash_at)
-                    | None -> false
-                  in
-                  continue k dead)
+              st.e_x <- qtid;
+              on_dead
           | _ -> None);
     }
   in

@@ -64,6 +64,19 @@ let iter_word f base w =
     w := !w land (!w - 1)
   done
 
+(* The smallest member >= [63 + c], or -1. *)
+let next_hi s c =
+  let w = if c < 63 then s.w1 land (-1 lsl c) else 0 in
+  if w = 0 then -1 else 63 + bit_index (w land -w)
+
+(* The smallest member >= [c], or -1.  Lets hot loops walk a set
+   without the closure (and captured refs) that [iter] would cost. *)
+let next s c =
+  if c >= 63 then next_hi s (c - 63)
+  else
+    let w = s.w0 land (-1 lsl max c 0) in
+    if w = 0 then next_hi s 0 else bit_index (w land -w)
+
 (* Ascending core-id order. *)
 let iter f s =
   iter_word f 0 s.w0;

@@ -10,14 +10,18 @@
    (section 5.2). *)
 
 (* What the memory model knows about a cache line when an operation is
-   issued.  [owner] holds the line in Modified/Owned/Exclusive; [sharers]
-   are cores with Shared/Forward copies (never including [owner]);
-   [home] is the node of the line's directory / home tile / memory.
-   Fields are mutable so the memory model can refill one scratch view
-   per access instead of allocating a record on every operation. *)
-type view = {
+   issued.  [owner] holds the line in Modified/Owned/Exclusive ([-1] =
+   none); [sharers] are cores with Shared/Forward copies (never
+   including [owner]); [home] is the node of the line's directory /
+   home tile / memory.  Fields are mutable so the memory model can
+   refill one scratch view per access instead of allocating a record
+   on every operation, and [owner] is a plain int so that neither the
+   refill nor an ownership test allocates (an [int option] owner boxes
+   a [Some] per refill and per [owner = Some requester] test).  Callers
+   outside the memory model describe lines with [view] instead. *)
+type line_view = {
   mutable state : Arch.cstate;
-  mutable owner : int option;
+  mutable owner : int;
   mutable sharers : Coreset.t;
   mutable home : int;
   mutable llc_dirty : bool;
@@ -27,9 +31,12 @@ type view = {
          round trip.  Cleared by any non-posted write. *)
 }
 
-let uncached v = v.owner = None && Coreset.is_empty v.sharers
-let n_holders v = Coreset.cardinal v.sharers + if v.owner = None then 0 else 1
-let holds v core = v.owner = Some core || Coreset.mem v.sharers core
+let uncached (v : line_view) = v.owner < 0 && Coreset.is_empty v.sharers
+
+let n_holders (v : line_view) =
+  Coreset.cardinal v.sharers + if v.owner < 0 then 0 else 1
+
+let holds (v : line_view) core = v.owner = core || Coreset.mem v.sharers core
 
 (* Distance class between two *nodes* of a topology. *)
 let node_class (t : Topology.t) n1 n2 : Arch.distance =
@@ -59,52 +66,64 @@ let rank_of_class : Arch.distance -> int = function
   | Max_hops -> 5
 
 (* The core whose cached copy the protocol reaches for: the owner if one
-   exists, otherwise the closest sharer.  [None] for uncached lines. *)
-let source_core (t : Topology.t) ~requester v =
-  match v.owner with
-  | Some o -> Some o
-  | None ->
-      if Coreset.is_empty v.sharers then None
-      else begin
-        (* closest sharer by distance class; ties keep the lowest id —
-           any same-class representative yields the same latency *)
-        let rnode = t.node_of_core requester in
-        let best = ref (-1) and best_rank = ref max_int in
-        Coreset.iter
-          (fun s ->
-            let r = rank_of_class (node_class t rnode (t.node_of_core s)) in
-            if r < !best_rank then begin
-              best_rank := r;
-              best := s
-            end)
-          v.sharers;
-        Some !best
-      end
+   exists, otherwise the closest sharer; [-1] for uncached lines.  The
+   sharer walk uses [Coreset.next], so the hot read path allocates
+   nothing. *)
+let source_core (t : Topology.t) ~requester (v : line_view) =
+  if v.owner >= 0 then v.owner
+  else begin
+    (* closest sharer by distance class; ties keep the lowest id —
+       any same-class representative yields the same latency *)
+    let rnode = t.node_of_core requester in
+    let best = ref (-1) and best_rank = ref max_int in
+    let s = ref (Coreset.next v.sharers 0) in
+    while !s >= 0 do
+      let r = rank_of_class (node_class t rnode (t.node_of_core !s)) in
+      if r < !best_rank then begin
+        best_rank := r;
+        best := !s
+      end;
+      s := Coreset.next v.sharers (!s + 1)
+    done;
+    !best
+  end
 
 let class_to_core t ~requester core =
   node_class t (t.node_of_core requester) (t.node_of_core core)
 
-let class_to_home t ~requester v =
+let class_to_home t ~requester (v : line_view) =
   node_class t (t.node_of_core requester) v.home
+
+(* Distance class to the data source, or to the home when uncached. *)
+let source_class t ~requester (v : line_view) =
+  let c = source_core t ~requester v in
+  if c >= 0 then class_to_core t ~requester c else class_to_home t ~requester v
+
+(* [worst], or the class from [rnode] to [c]'s node if that is farther
+   (the requester's own copy costs nothing to kill). *)
+let farther (t : Topology.t) ~requester rnode worst c =
+  if c = requester then worst
+  else
+    let d = node_class t rnode (t.node_of_core c) in
+    if rank_of_class d > rank_of_class worst then d else worst
 
 (* An exclusive request on a multi-copy line completes only when the
    farthest remote copy has acknowledged its invalidation, so the
    transaction's distance class is the worst over the data source and
-   every other holder (the requester's own copy costs nothing to kill).
-   This is what makes a queue lock's cross-socket handoff pay the
-   remote row even when the releaser itself shares the line. *)
-let invalidation_class (t : Topology.t) ~requester v (base : Arch.distance) :
-    Arch.distance =
+   every other holder.  This is what makes a queue lock's cross-socket
+   handoff pay the remote row even when the releaser itself shares the
+   line. *)
+let invalidation_class (t : Topology.t) ~requester (v : line_view)
+    (base : Arch.distance) : Arch.distance =
   let rnode = t.node_of_core requester in
-  let worst = ref base in
-  let consider c =
-    if c <> requester then begin
-      let d = node_class t rnode (t.node_of_core c) in
-      if rank_of_class d > rank_of_class !worst then worst := d
-    end
+  let worst =
+    ref (if v.owner >= 0 then farther t ~requester rnode base v.owner else base)
   in
-  (match v.owner with Some o -> consider o | None -> ());
-  Coreset.iter consider v.sharers;
+  let s = ref (Coreset.next v.sharers 0) in
+  while !s >= 0 do
+    worst := farther t ~requester rnode !worst !s;
+    s := Coreset.next v.sharers (!s + 1)
+  done;
   !worst
 
 (* -------------------------------------------------------------- *)
@@ -129,16 +148,22 @@ let opteron_row4 (d : Arch.distance) (v : int array) =
 (* Extra cycles when the probe-filter lookup happens on a node that is
    neither the requester's nor the owner's (section 5.2: the worst case
    raises a 252-cycle transfer to 312). *)
-let opteron_directory_penalty (t : Topology.t) ~requester v =
+let sharer_on_node (t : Topology.t) sharers node =
+  let s = ref (Coreset.next sharers 0) in
+  while !s >= 0 && t.node_of_core !s <> node do
+    s := Coreset.next sharers (!s + 1)
+  done;
+  !s >= 0
+
+let opteron_directory_penalty (t : Topology.t) ~requester (v : line_view) =
   if uncached v then 0 (* the home node itself supplies the data *)
   else
   let rnode = t.node_of_core requester in
   let home_involved =
     v.home = rnode
     ||
-    match v.owner with
-    | Some o -> t.node_of_core o = v.home
-    | None -> Coreset.exists (fun s -> t.node_of_core s = v.home) v.sharers
+    if v.owner >= 0 then t.node_of_core v.owner = v.home
+    else sharer_on_node t v.sharers v.home
   in
   if home_involved then 0 else 30 * max 1 (t.node_hops rnode v.home)
 
@@ -157,46 +182,46 @@ let o_store_shared = [| 246; 255; 286; 296 |]
 let o_atomic_me = [| 110; 197; 216; 296 |]
 let o_atomic_shared = [| 272; 283; 312; 332 |]
 
-let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester v =
+(* The two multi-row cases of [opteron_latency], at toplevel: as local
+   functions they would be closures allocated on every call. *)
+let opteron_load_cached class_of_source (st : Arch.cstate) =
+  match st with
+  | Arch.Modified -> opteron_row4 class_of_source o_load_modified
+  | Arch.Owned -> opteron_row4 class_of_source o_load_owned
+  | Arch.Exclusive -> opteron_row4 class_of_source o_load_exclusive
+  | Arch.Shared | Arch.Forward -> opteron_row4 class_of_source o_load_shared
+  | Arch.Invalid -> opteron_row4 class_of_source o_fill
+
+(* Invalidation broadcast; grows slightly with the sharer count
+   (storing on a line shared by all 48 cores costs 296). *)
+let opteron_broadcast_store t ~requester (v : line_view) class_of_source =
+  let base =
+    opteron_row4
+      (invalidation_class t ~requester v class_of_source)
+      (match v.state with Arch.Owned -> o_store_owned | _ -> o_store_shared)
+  in
+  base + (n_holders v / 12 * 10)
+
+let opteron_latency (t : Topology.t) (op : Arch.memop) ~requester
+    (v : line_view) =
   let dir_pen = opteron_directory_penalty t ~requester v in
-  let class_of_source =
-    match source_core t ~requester v with
-    | Some c -> class_to_core t ~requester c
-    | None -> class_to_home t ~requester v
-  in
-  let load_cached st =
-    match st with
-    | Arch.Modified -> opteron_row4 class_of_source o_load_modified
-    | Arch.Owned -> opteron_row4 class_of_source o_load_owned
-    | Arch.Exclusive -> opteron_row4 class_of_source o_load_exclusive
-    | Arch.Shared | Arch.Forward -> opteron_row4 class_of_source o_load_shared
-    | Arch.Invalid -> opteron_row4 class_of_source o_fill
-  in
-  let broadcast_store st =
-    (* Invalidation broadcast; grows slightly with the sharer count
-       (storing on a line shared by all 48 cores costs 296). *)
-    let base =
-      opteron_row4
-        (invalidation_class t ~requester v class_of_source)
-        (match st with Arch.Owned -> o_store_owned | _ -> o_store_shared)
-    in
-    base + (n_holders v / 12 * 10)
-  in
+  let class_of_source = source_class t ~requester v in
   match op with
   | Arch.Load ->
       if holds v requester then 3 (* L1 hit *)
-      else load_cached v.state + dir_pen
+      else opteron_load_cached class_of_source v.state + dir_pen
   | Arch.Store -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = Some requester then 3
+          if v.owner = requester then 3
           else opteron_row4 class_of_source o_store_me + dir_pen
-      | Arch.Owned | Arch.Shared | Arch.Forward -> broadcast_store v.state + dir_pen
+      | Arch.Owned | Arch.Shared | Arch.Forward ->
+          opteron_broadcast_store t ~requester v class_of_source + dir_pen
       | Arch.Invalid -> opteron_row4 class_of_source o_fill + 10 + dir_pen)
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = Some requester then 20
+          if v.owner = requester then 20
           else opteron_row4 class_of_source o_atomic_me + dir_pen
       | Arch.Owned | Arch.Shared | Arch.Forward ->
           opteron_row4
@@ -236,12 +261,9 @@ let x_store_shared = [| 116; 318; 428 |]
 let x_atomic_me = [| 120; 324; 430 |]
 let x_atomic_shared = [| 113; 312; 423 |]
 
-let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
-  let class_of_source =
-    match source_core t ~requester v with
-    | Some c -> class_to_core t ~requester c
-    | None -> class_to_home t ~requester v
-  in
+let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester
+    (v : line_view) =
+  let class_of_source = source_class t ~requester v in
   let invalidation_growth =
     (* storing on a line shared by all 80 cores costs 445 *)
     Coreset.cardinal v.sharers / 5
@@ -261,16 +283,16 @@ let xeon_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   | Arch.Store -> (
       match v.state with
       | Arch.Modified ->
-          if v.owner = Some requester then 5 else xeon_row3 class_of_source x_store_modified
+          if v.owner = requester then 5 else xeon_row3 class_of_source x_store_modified
       | Arch.Exclusive ->
-          if v.owner = Some requester then 5 else xeon_row3 class_of_source x_store_exclusive
+          if v.owner = requester then 5 else xeon_row3 class_of_source x_store_exclusive
       | Arch.Shared | Arch.Forward | Arch.Owned ->
           xeon_row3 (invalidation_class t ~requester v class_of_source) x_store_shared + invalidation_growth
       | Arch.Invalid -> xeon_row3 class_of_source x_fill + 10)
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = Some requester then 20 else xeon_row3 class_of_source x_atomic_me
+          if v.owner = requester then 20 else xeon_row3 class_of_source x_atomic_me
       | Arch.Shared | Arch.Forward | Arch.Owned ->
           xeon_row3 (invalidation_class t ~requester v class_of_source) x_atomic_shared + invalidation_growth
       | Arch.Invalid -> xeon_row3 class_of_source x_fill + 25)
@@ -293,18 +315,20 @@ let nia_fai = ((108, 99), (99, 99))
 let nia_tas = ((64, 55), (67, 55))
 let nia_swap = ((95, 90), (93, 90))
 
-let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
+(* Distance class to the data source; an uncached line counts as
+   same-die (the LLC is one crossbar hop from every core). *)
+let niagara_class t ~requester (v : line_view) : Arch.distance =
+  let c = source_core t ~requester v in
+  if c >= 0 then class_to_core t ~requester c else Same_die
+
+let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester
+    (v : line_view) =
   match op with
   | Arch.Load ->
       if holds v requester then 3
       else if uncached v || v.state = Arch.Invalid then 176
       else
-        let d =
-          match source_core t ~requester v with
-          | Some c -> class_to_core t ~requester c
-          | None -> Same_die
-        in
-        niagara_pair d nia_load
+        niagara_pair (niagara_class t ~requester v) nia_load
   | Arch.Store -> 24
   | Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap -> (
       let m_row, s_row =
@@ -318,19 +342,9 @@ let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
       match v.state with
       | Arch.Invalid -> 176 + 20
       | Arch.Modified | Arch.Exclusive | Arch.Owned ->
-          let d =
-            match source_core t ~requester v with
-            | Some c -> class_to_core t ~requester c
-            | None -> Same_die
-          in
-          niagara_pair d m_row
+          niagara_pair (niagara_class t ~requester v) m_row
       | Arch.Shared | Arch.Forward ->
-          let d =
-            match source_core t ~requester v with
-            | Some c -> class_to_core t ~requester c
-            | None -> Same_die
-          in
-          niagara_pair d s_row)
+          niagara_pair (niagara_class t ~requester v) s_row)
 
 (* -------------------------------------------------------------- *)
 (* Tilera: distributed directory; each line has a home tile whose L2
@@ -340,7 +354,7 @@ let niagara_latency (t : Topology.t) (op : Arch.memop) ~requester v =
    invalidations (up to ~200 cycles when all 36 tiles share).  FAI is
    executed at the home tile and is the fastest atomic (section 5.4). *)
 
-let tilera_home_hops (t : Topology.t) ~requester v =
+let tilera_home_hops (t : Topology.t) ~requester (v : line_view) =
   t.node_hops (t.node_of_core requester) v.home
 
 let tilera_scale ~at1 ~at10 h =
@@ -354,7 +368,8 @@ let til_fai = ((51, 71), (82, 102))
 let til_tas = ((70, 89), (121, 141))
 let til_swap = ((63, 84), (95, 115))
 
-let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
+let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester
+    (v : line_view) =
   let h = tilera_home_hops t ~requester v in
   let inval_growth = 3 * max 0 (Coreset.cardinal v.sharers - 1) in
   match op with
@@ -367,7 +382,7 @@ let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
   | Arch.Store -> (
       match v.state with
       | Arch.Modified | Arch.Exclusive ->
-          if v.owner = Some requester then 11
+          if v.owner = requester then 11
           else if h = 0 then 20
           else tilera_scale ~at1:57 ~at10:77 h
       | Arch.Shared | Arch.Forward | Arch.Owned ->
@@ -398,29 +413,30 @@ let tilera_latency (t : Topology.t) (op : Arch.memop) ~requester v =
    the large machine's; cross-socket latency is the intra-socket one
    scaled by the measured ratio (1.6x Opteron2, 2.7x Xeon2). *)
 
-let scaled_small big_latency (t : Topology.t) ratio op ~requester v =
+let scaled_small big_latency (t : Topology.t) ratio op ~requester
+    (v : line_view) =
   (* Remap the view onto two same-socket cores (0 and 1) of the large
      sibling platform, preserving whether the requester holds a copy;
      this yields the intra-socket cost, which the measured cross/intra
      ratio then scales when the transaction crosses the socket link. *)
   let remap c = if c = requester then 0 else 1 in
-  let fake_owner = Option.map remap v.owner in
+  let fake_owner = if v.owner >= 0 then remap v.owner else -1 in
   let fake_sharers = Coreset.create () in
   Coreset.iter
     (fun s ->
       let m = remap s in
-      if Some m <> fake_owner then Coreset.add fake_sharers m)
+      if m <> fake_owner then Coreset.add fake_sharers m)
     v.sharers;
-  let fake =
+  let fake : line_view =
     { state = v.state; owner = fake_owner; sharers = fake_sharers; home = 0;
       llc_dirty = v.llc_dirty }
   in
   let intra = big_latency op ~requester:0 fake in
   let rnode = t.node_of_core requester in
   let cross =
-    match source_core t ~requester v with
-    | Some c -> t.node_hops rnode (t.node_of_core c) > 0
-    | None -> t.node_hops rnode v.home > 0
+    let c = source_core t ~requester v in
+    if c >= 0 then t.node_hops rnode (t.node_of_core c) > 0
+    else t.node_hops rnode v.home > 0
   in
   let local_hit = holds v requester && op = Arch.Load in
   if cross && not local_hit then
@@ -437,15 +453,17 @@ let xeon2_latency (t : Topology.t) op ~requester v =
 
 (* -------------------------------------------------------------- *)
 
-let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
+let line_latency (t : Topology.t) (op : Arch.memop) ~requester
+    (v : line_view) : int =
   Topology.check t requester;
   (* Local-service fast paths.  Each constant mirrors the corresponding
      early case of the model functions above (and, for the small
      two-socket platforms, of [scaled_small], whose cross-socket ratio
      never applies when the requester itself is the data source): the
      general dispatch below would return exactly the same number, but
-     only after building its per-call row closures — which dominates the
-     simulator's hot path, where most accesses are cache hits. *)
+     only after its directory-penalty and source-class lookups — which
+     dominate the simulator's hot path, where most accesses are cache
+     hits. *)
   match op with
   | Arch.Load when holds v requester -> (
       match t.id with
@@ -453,7 +471,7 @@ let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
       | Arch.Xeon | Arch.Xeon2 -> 5
       | Arch.Tilera -> 2)
   | Arch.Store
-    when v.owner = Some requester
+    when v.owner = requester
          && (v.state = Arch.Modified || v.state = Arch.Exclusive) -> (
       match t.id with
       | Arch.Opteron | Arch.Opteron2 -> 3
@@ -461,7 +479,7 @@ let op_latency (t : Topology.t) (op : Arch.memop) ~requester (v : view) : int =
       | Arch.Niagara -> 24
       | Arch.Tilera -> 11)
   | (Arch.Cas | Arch.Fai | Arch.Tas | Arch.Swap)
-    when v.owner = Some requester
+    when v.owner = requester
          && (v.state = Arch.Modified || v.state = Arch.Exclusive)
          && (match t.id with
             | Arch.Opteron | Arch.Opteron2 | Arch.Xeon | Arch.Xeon2 -> true
@@ -574,7 +592,8 @@ let has_resources (t : Topology.t) =
    on the multi-sockets (2-hop pairs route through the lowest
    intermediate node minimizing the detour), dimension-ordered
    X-then-Y on the Tilera mesh. *)
-let fill_path (t : Topology.t) ~requester (v : view) (path : int array) : int =
+let line_fill_path (t : Topology.t) ~requester (v : line_view)
+    (path : int array) : int =
   match t.id with
   | Arch.Niagara -> 0
   | Arch.Tilera ->
@@ -609,9 +628,8 @@ let fill_path (t : Topology.t) ~requester (v : view) (path : int array) : int =
   | Arch.Opteron | Arch.Opteron2 | Arch.Xeon | Arch.Xeon2 ->
       let rnode = t.node_of_core requester in
       let snode =
-        match source_core t ~requester v with
-        | Some c -> t.node_of_core c
-        | None -> v.home
+        let c = source_core t ~requester v in
+        if c >= 0 then t.node_of_core c else v.home
       in
       if rnode = snode && rnode = v.home then 0
       else begin
@@ -691,3 +709,32 @@ let min_resource_hold (t : Topology.t) : int option =
         if l > 0 && l < !m then m := l)
       [ Arch.Load; Arch.Store; Arch.Cas ];
     if !m = max_int then None else Some !m
+
+(* ------------------------------------------------------------------ *)
+(* Hand-built line descriptions.  Tests, calibration tables and probes
+   describe a line with an optional owner; [op_latency] and [fill_path]
+   convert the description (one small record per call) and defer to the
+   unboxed [line_latency] / [line_fill_path] the memory model calls. *)
+
+type view = {
+  state : Arch.cstate;
+  owner : int option;
+  sharers : Coreset.t;
+  home : int;
+  llc_dirty : bool;
+}
+
+let line_view_of (v : view) : line_view =
+  {
+    state = v.state;
+    owner = (match v.owner with Some o -> o | None -> -1);
+    sharers = v.sharers;
+    home = v.home;
+    llc_dirty = v.llc_dirty;
+  }
+
+let op_latency t op ~requester v =
+  line_latency t op ~requester (line_view_of v)
+
+let fill_path t ~requester v path =
+  line_fill_path t ~requester (line_view_of v) path

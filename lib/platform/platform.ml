@@ -7,7 +7,7 @@ type t = {
   topo : Topology.t;
   local : Arch.cache_level -> int option;
       (* Table 3: local cache / memory latencies *)
-  op_latency : Arch.memop -> requester:int -> Cost_model.view -> int;
+  op_latency : Arch.memop -> requester:int -> Cost_model.line_view -> int;
   occupancy : Arch.memop -> state:Arch.cstate -> latency:int -> int;
   hw_mp_latency : (int -> int -> int) option;
       (* Tilera only: hardware message-passing one-way latency between
@@ -23,7 +23,8 @@ let make id =
     name = topo.Topology.name;
     topo;
     local = Latencies.table3 id;
-    op_latency = (fun op ~requester v -> Cost_model.op_latency topo op ~requester v);
+    op_latency =
+      (fun op ~requester v -> Cost_model.line_latency topo op ~requester v);
     occupancy = (fun op ~state ~latency -> Cost_model.occupancy topo op ~state ~latency);
     hw_mp_latency =
       (match id with

@@ -17,41 +17,41 @@ let test_load_fills_exclusive () =
   let m = mem_on Arch.Xeon in
   let a = Memory.alloc m in
   Alcotest.(check string) "starts invalid" "Invalid" (state_name m a);
-  ignore (Memory.access m ~core:0 ~now:0 Arch.Load a);
+  ignore (Mem_access.access m ~core:0 ~now:0 Arch.Load a);
   Alcotest.(check string) "exclusive after first load" "Exclusive"
     (state_name m a)
 
 let test_moesi_owned_on_opteron () =
   let m = mem_on Arch.Opteron in
   let a = Memory.alloc m in
-  ignore (Memory.access m ~core:0 ~now:0 Arch.Store a ~operand:7);
+  ignore (Mem_access.access m ~core:0 ~now:0 Arch.Store a ~operand:7);
   Alcotest.(check string) "modified after store" "Modified" (state_name m a);
-  ignore (Memory.access m ~core:6 ~now:0 Arch.Load a);
+  ignore (Mem_access.access m ~core:6 ~now:0 Arch.Load a);
   (* MOESI: the dirty copy stays with core 0 in Owned state *)
   Alcotest.(check string) "owned after remote load" "Owned" (state_name m a);
-  check_bool "owner kept" true ((Memory.line m a).Memory.owner = Some 0);
+  check_bool "owner kept" true ((Memory.line m a).Memory.owner = 0);
   check_bool "reader became sharer" true
     (Coreset.mem (Memory.line m a).Memory.sharers 6)
 
 let test_mesi_shared_on_xeon () =
   let m = mem_on Arch.Xeon in
   let a = Memory.alloc m in
-  ignore (Memory.access m ~core:0 ~now:0 Arch.Store a ~operand:7);
-  ignore (Memory.access m ~core:1 ~now:0 Arch.Load a);
+  ignore (Mem_access.access m ~core:0 ~now:0 Arch.Store a ~operand:7);
+  ignore (Mem_access.access m ~core:1 ~now:0 Arch.Load a);
   Alcotest.(check string) "shared after remote load" "Shared" (state_name m a);
-  check_bool "no owner" true ((Memory.line m a).Memory.owner = None);
+  check_bool "no owner" true ((Memory.line m a).Memory.owner = -1);
   check_int "two sharers" 2 (Coreset.cardinal (Memory.line m a).Memory.sharers)
 
 let test_store_invalidates_sharers () =
   let m = mem_on Arch.Xeon in
   let a = Memory.alloc m in
-  ignore (Memory.access m ~core:0 ~now:0 Arch.Load a);
-  ignore (Memory.access m ~core:1 ~now:0 Arch.Load a);
-  ignore (Memory.access m ~core:2 ~now:0 Arch.Load a);
-  ignore (Memory.access m ~core:3 ~now:0 Arch.Store a ~operand:9);
+  ignore (Mem_access.access m ~core:0 ~now:0 Arch.Load a);
+  ignore (Mem_access.access m ~core:1 ~now:0 Arch.Load a);
+  ignore (Mem_access.access m ~core:2 ~now:0 Arch.Load a);
+  ignore (Mem_access.access m ~core:3 ~now:0 Arch.Store a ~operand:9);
   let l = Memory.line m a in
   Alcotest.(check string) "modified" "Modified" (state_name m a);
-  check_bool "owner is 3" true (l.Memory.owner = Some 3);
+  check_bool "owner is 3" true (l.Memory.owner = 3);
   check_int "no sharers" 0 (Coreset.cardinal l.Memory.sharers);
   check_int "value stored" 9 (Memory.peek m a)
 
@@ -60,25 +60,25 @@ let test_store_invalidates_sharers () =
 let test_cas_semantics () =
   let m = mem_on Arch.Opteron in
   let a = Memory.alloc m ~value:5 in
-  let _, ok = Memory.access m ~core:0 ~now:0 Arch.Cas a ~operand:4 ~operand2:9 in
+  let _, ok = Mem_access.access m ~core:0 ~now:0 Arch.Cas a ~operand:4 ~operand2:9 in
   check_int "cas fails on mismatch" 0 ok;
   check_int "value unchanged" 5 (Memory.peek m a);
-  let _, ok = Memory.access m ~core:0 ~now:0 Arch.Cas a ~operand:5 ~operand2:9 in
+  let _, ok = Mem_access.access m ~core:0 ~now:0 Arch.Cas a ~operand:5 ~operand2:9 in
   check_int "cas succeeds" 1 ok;
   check_int "value swapped" 9 (Memory.peek m a)
 
 let test_fai_tas_swap_semantics () =
   let m = mem_on Arch.Niagara in
   let a = Memory.alloc m ~value:41 in
-  let _, old = Memory.access m ~core:0 ~now:0 Arch.Fai a ~operand:1 in
+  let _, old = Mem_access.access m ~core:0 ~now:0 Arch.Fai a ~operand:1 in
   check_int "fai returns old" 41 old;
   check_int "fai increments" 42 (Memory.peek m a);
   let b = Memory.alloc m in
-  let _, old = Memory.access m ~core:0 ~now:0 Arch.Tas b in
+  let _, old = Mem_access.access m ~core:0 ~now:0 Arch.Tas b in
   check_int "tas wins on 0" 0 old;
-  let _, old = Memory.access m ~core:1 ~now:0 Arch.Tas b in
+  let _, old = Mem_access.access m ~core:1 ~now:0 Arch.Tas b in
   check_int "tas loses on 1" 1 old;
-  let _, old = Memory.access m ~core:1 ~now:0 Arch.Swap b ~operand:7 in
+  let _, old = Mem_access.access m ~core:1 ~now:0 Arch.Swap b ~operand:7 in
   check_int "swap returns old" 1 old;
   check_int "swap stores" 7 (Memory.peek m b)
 
@@ -88,9 +88,9 @@ let test_local_spin_is_cheap () =
   (* A core that loaded a line spins on it at L1 cost. *)
   let m = mem_on Arch.Opteron in
   let a = Memory.alloc m in
-  ignore (Memory.access m ~core:0 ~now:0 Arch.Store a ~operand:1);
-  ignore (Memory.access m ~core:1 ~now:0 Arch.Load a);
-  let lat, _ = Memory.access m ~core:1 ~now:1000 Arch.Load a in
+  ignore (Mem_access.access m ~core:0 ~now:0 Arch.Store a ~operand:1);
+  ignore (Mem_access.access m ~core:1 ~now:0 Arch.Load a);
+  let lat, _ = Mem_access.access m ~core:1 ~now:1000 Arch.Load a in
   check_bool "second load is a hit" true (lat <= 5)
 
 let test_contention_serializes () =
@@ -98,10 +98,10 @@ let test_contention_serializes () =
      first's occupancy. *)
   let m = mem_on Arch.Xeon in
   let a = Memory.alloc m in
-  ignore (Memory.access m ~core:5 ~now:0 Arch.Store a ~operand:1);
+  ignore (Mem_access.access m ~core:5 ~now:0 Arch.Store a ~operand:1);
   Memory.reset_busy m a;
-  let l1, _ = Memory.access m ~core:1 ~now:1000 Arch.Store a ~operand:2 in
-  let l2, _ = Memory.access m ~core:2 ~now:1000 Arch.Store a ~operand:3 in
+  let l1, _ = Mem_access.access m ~core:1 ~now:1000 Arch.Store a ~operand:2 in
+  let l2, _ = Mem_access.access m ~core:2 ~now:1000 Arch.Store a ~operand:3 in
   check_bool "second waits" true (l2 > l1)
 
 let test_cross_socket_more_expensive () =
@@ -110,14 +110,14 @@ let test_cross_socket_more_expensive () =
       let m = mem_on pid in
       let p = Platform.get pid in
       let a = Memory.alloc m ~home_core:0 in
-      ignore (Memory.access m ~core:1 ~now:0 Arch.Store a ~operand:1);
+      ignore (Mem_access.access m ~core:1 ~now:0 Arch.Store a ~operand:1);
       Memory.reset_busy m a;
-      let near, _ = Memory.access m ~core:0 ~now:1000 Arch.Load a in
+      let near, _ = Mem_access.access m ~core:0 ~now:1000 Arch.Load a in
       (* rebuild modified-at-1 and measure a far reader *)
-      ignore (Memory.access m ~core:1 ~now:2000 Arch.Store a ~operand:2);
+      ignore (Mem_access.access m ~core:1 ~now:2000 Arch.Store a ~operand:2);
       Memory.reset_busy m a;
       let far_core = Platform.n_cores p - 1 in
-      let far, _ = Memory.access m ~core:far_core ~now:9000 Arch.Load a in
+      let far, _ = Mem_access.access m ~core:far_core ~now:9000 Arch.Load a in
       check_bool
         (Printf.sprintf "%s: far load (%d) > near load (%d)"
            (Arch.platform_name pid) far near)
@@ -163,33 +163,33 @@ let qcheck_protocol_invariants =
           let ok_value =
             match opcode with
             | 0 ->
-                let _, v = Memory.access m ~core ~now:!now Arch.Load a in
+                let _, v = Mem_access.access m ~core ~now:!now Arch.Load a in
                 v = model.(ai)
             | 1 ->
                 let nv = (core * 7) + !now in
-                ignore (Memory.access m ~core ~now:!now Arch.Store a ~operand:nv);
+                ignore (Mem_access.access m ~core ~now:!now Arch.Store a ~operand:nv);
                 model.(ai) <- nv;
                 true
             | 2 ->
-                let _, old = Memory.access m ~core ~now:!now Arch.Fai a ~operand:1 in
+                let _, old = Mem_access.access m ~core ~now:!now Arch.Fai a ~operand:1 in
                 let ok = old = model.(ai) in
                 model.(ai) <- model.(ai) + 1;
                 ok
             | 3 ->
                 let expected = model.(ai) in
                 let _, r =
-                  Memory.access m ~core ~now:!now Arch.Cas a ~operand:expected
+                  Mem_access.access m ~core ~now:!now Arch.Cas a ~operand:expected
                     ~operand2:(expected + 100)
                 in
                 model.(ai) <- expected + 100;
                 r = 1
             | 4 ->
-                let _, old = Memory.access m ~core ~now:!now Arch.Tas a in
+                let _, old = Mem_access.access m ~core ~now:!now Arch.Tas a in
                 let ok = old = model.(ai) in
                 model.(ai) <- 1;
                 ok
             | _ ->
-                let _, old = Memory.access m ~core ~now:!now Arch.Swap a ~operand:3 in
+                let _, old = Mem_access.access m ~core ~now:!now Arch.Swap a ~operand:3 in
                 let ok = old = model.(ai) in
                 model.(ai) <- 3;
                 ok
@@ -198,16 +198,15 @@ let qcheck_protocol_invariants =
           let swmr =
             match l.Memory.state with
             | Arch.Modified | Arch.Exclusive ->
-                l.Memory.owner <> None && Coreset.is_empty l.Memory.sharers
-            | Arch.Owned -> l.Memory.owner <> None
+                l.Memory.owner >= 0 && Coreset.is_empty l.Memory.sharers
+            | Arch.Owned -> l.Memory.owner >= 0
             | Arch.Shared | Arch.Forward ->
-                l.Memory.owner = None && not (Coreset.is_empty l.Memory.sharers)
-            | Arch.Invalid -> l.Memory.owner = None && Coreset.is_empty l.Memory.sharers
+                l.Memory.owner < 0 && not (Coreset.is_empty l.Memory.sharers)
+            | Arch.Invalid -> l.Memory.owner < 0 && Coreset.is_empty l.Memory.sharers
           in
           let owner_not_sharer =
-            match l.Memory.owner with
-            | Some o -> not (Coreset.mem l.Memory.sharers o)
-            | None -> true
+            l.Memory.owner < 0
+            || not (Coreset.mem l.Memory.sharers l.Memory.owner)
           in
           ok_value && swmr && owner_not_sharer)
         ops)
@@ -218,10 +217,10 @@ let qcheck_latency_monotone_queueing =
     (fun (c1, c2) ->
       let m = mem_on Arch.Opteron in
       let a = Memory.alloc m in
-      ignore (Memory.access m ~core:0 ~now:0 Arch.Store a ~operand:1);
+      ignore (Mem_access.access m ~core:0 ~now:0 Arch.Store a ~operand:1);
       Memory.reset_busy m a;
-      let l1, _ = Memory.access m ~core:c1 ~now:100 Arch.Fai a ~operand:1 in
-      let l2, _ = Memory.access m ~core:c2 ~now:100 Arch.Fai a ~operand:1 in
+      let l1, _ = Mem_access.access m ~core:c1 ~now:100 Arch.Fai a ~operand:1 in
+      let l2, _ = Mem_access.access m ~core:c2 ~now:100 Arch.Fai a ~operand:1 in
       (* the second atomic can never be cheaper than its own service *)
       l1 > 0 && l2 > 0)
 

@@ -42,10 +42,10 @@ let test_faa_zero_leaves_modified () =
   (* the prefetchw probe: an atomic read that grabs the line exclusive *)
   let m = Memory.create Platform.opteron in
   let a = Memory.alloc m ~value:7 in
-  ignore (Memory.access m ~core:5 ~now:0 Arch.Store a ~operand:7);
-  ignore (Memory.access m ~core:0 ~now:100 Arch.Fai a ~operand:0);
+  ignore (Mem_access.access m ~core:5 ~now:0 Arch.Store a ~operand:7);
+  ignore (Mem_access.access m ~core:0 ~now:100 Arch.Fai a ~operand:0);
   let l = Memory.line m a in
-  check_bool "line Modified at prober" true (l.Memory.owner = Some 0);
+  check_bool "line Modified at prober" true (l.Memory.owner = 0);
   check_int "value untouched" 7 (Memory.peek m a)
 
 let test_faa_zero_costs_store_class () =
@@ -55,10 +55,10 @@ let test_faa_zero_costs_store_class () =
   let a = Memory.alloc m in
   Memory.force_state m ~holder:1 ~second:2 Arch.Shared a;
   Memory.reset_busy m a;
-  let probe_lat, _ = Memory.access m ~core:0 ~now:1000 Arch.Fai a ~operand:0 in
+  let probe_lat, _ = Mem_access.access m ~core:0 ~now:1000 Arch.Fai a ~operand:0 in
   Memory.force_state m ~holder:1 ~second:2 Arch.Shared a;
   Memory.reset_busy m a;
-  let atomic_lat, _ = Memory.access m ~core:0 ~now:1000 Arch.Fai a ~operand:1 in
+  let atomic_lat, _ = Mem_access.access m ~core:0 ~now:1000 Arch.Fai a ~operand:1 in
   check_bool
     (Printf.sprintf "probe (%d) cheaper than atomic (%d)" probe_lat atomic_lat)
     true (probe_lat < atomic_lat)
@@ -106,7 +106,7 @@ let test_memory_rejects_bad_addr () =
   let m = Memory.create Platform.opteron in
   check_bool "bad address rejected" true
     (try
-       ignore (Memory.access m ~core:0 ~now:0 Arch.Load 123);
+       ignore (Mem_access.access m ~core:0 ~now:0 Arch.Load 123);
        false
      with Invalid_argument _ -> true)
 

@@ -31,12 +31,12 @@ let test_packed_words_share_lines () =
 let test_packed_words_have_independent_values () =
   let m = mem_on Arch.Xeon in
   let base = Memory.alloc_packed ~value:3 m 4 in
-  ignore (Memory.access m ~core:0 ~now:0 Arch.Store (base + 1) ~operand:9);
+  ignore (Mem_access.access m ~core:0 ~now:0 Arch.Store (base + 1) ~operand:9);
   check_int "neighbor untouched" 3 (Memory.peek m base);
   check_int "stored word updated" 9 (Memory.peek m (base + 1));
   check_int "other neighbor untouched" 3 (Memory.peek m (base + 2));
   (* atomics too: a FAI on one word leaves its line-mates alone *)
-  ignore (Memory.access m ~core:1 ~now:10_000 Arch.Fai (base + 2) ~operand:1);
+  ignore (Mem_access.access m ~core:1 ~now:10_000 Arch.Fai (base + 2) ~operand:1);
   check_int "fai hit only its word" 4 (Memory.peek m (base + 2));
   check_int "neighbors still intact" 9 (Memory.peek m (base + 1))
 
@@ -44,22 +44,22 @@ let test_false_sharing_invalidates_line_mates () =
   let m = mem_on Arch.Xeon in
   let base = Memory.alloc_packed m 2 in
   (* core 0 caches the line by reading word 0 ... *)
-  ignore (Memory.access m ~core:0 ~now:0 Arch.Load base);
-  let hit, _ = Memory.access m ~core:0 ~now:5_000 Arch.Load base in
+  ignore (Mem_access.access m ~core:0 ~now:0 Arch.Load base);
+  let hit, _ = Mem_access.access m ~core:0 ~now:5_000 Arch.Load base in
   (* ... core 1 writes the *other* word: coherence is line-granular,
      so core 0's copy dies even though no shared data exists *)
-  ignore (Memory.access m ~core:1 ~now:10_000 Arch.Store (base + 1) ~operand:7);
-  let miss, _ = Memory.access m ~core:0 ~now:50_000 Arch.Load base in
+  ignore (Mem_access.access m ~core:1 ~now:10_000 Arch.Store (base + 1) ~operand:7);
+  let miss, _ = Mem_access.access m ~core:0 ~now:50_000 Arch.Load base in
   check_bool
     (Printf.sprintf "line-mate write forces a refetch (%d > %d)" miss hit)
     true (miss > hit);
   (* the padded layout is immune: same traffic, different lines *)
   let p0 = Memory.alloc_n m 2 in
-  ignore (Memory.access m ~core:0 ~now:100_000 Arch.Load p0);
-  let hit_p, _ = Memory.access m ~core:0 ~now:105_000 Arch.Load p0 in
+  ignore (Mem_access.access m ~core:0 ~now:100_000 Arch.Load p0);
+  let hit_p, _ = Mem_access.access m ~core:0 ~now:105_000 Arch.Load p0 in
   ignore
-    (Memory.access m ~core:1 ~now:110_000 Arch.Store (p0 + 1) ~operand:7);
-  let still_hit, _ = Memory.access m ~core:0 ~now:150_000 Arch.Load p0 in
+    (Mem_access.access m ~core:1 ~now:110_000 Arch.Store (p0 + 1) ~operand:7);
+  let still_hit, _ = Mem_access.access m ~core:0 ~now:150_000 Arch.Load p0 in
   check_int "padded neighbor write leaves the hit local" hit_p still_hit
 
 (* --------------------- finite-bandwidth queueing ------------------ *)
@@ -75,15 +75,15 @@ let test_home_directory_serializes_distinct_lines () =
   let baseline =
     let m = Memory.create p in
     let b = Memory.alloc ~home_core:0 m in
-    fst (Memory.access m ~core:12 ~now:0 Arch.Load b)
+    fst (Mem_access.access m ~core:12 ~now:0 Arch.Load b)
   in
   let m = Memory.create p in
   let a = Memory.alloc ~home_core:0 m in
   let b = Memory.alloc ~home_core:0 m in
   check_bool "distinct lines" false (Memory.same_line m a b);
   let q0 = (Memory.stats m).Stats.link_queued_cycles in
-  ignore (Memory.access m ~core:6 ~now:0 Arch.Load a);
-  let lat, _ = Memory.access m ~core:12 ~now:0 Arch.Load b in
+  ignore (Mem_access.access m ~core:6 ~now:0 Arch.Load a);
+  let lat, _ = Mem_access.access m ~core:12 ~now:0 Arch.Load b in
   check_bool
     (Printf.sprintf "second request queued at the home directory (%d > %d)"
        lat baseline)
@@ -98,7 +98,7 @@ let test_home_directory_serializes_distinct_lines () =
      modeled bottleneck, so a same-node access never queues on links *)
   let c = Memory.alloc ~home_core:0 m in
   let q2 = (Memory.stats m).Stats.link_queued_cycles in
-  ignore (Memory.access m ~core:1 ~now:0 Arch.Load c);
+  ignore (Mem_access.access m ~core:1 ~now:0 Arch.Load c);
   check_int "node-local access crosses no finite resource" q2
     (Memory.stats m).Stats.link_queued_cycles
 

@@ -24,4 +24,5 @@ let () =
       ("shards", Test_shards.suite);
       ("speculation", Test_speculation.suite);
       ("metrics", Test_metrics.suite);
+      ("alloc", Test_alloc.suite);
     ]

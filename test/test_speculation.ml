@@ -42,7 +42,7 @@ let fingerprint mem =
             l.Memory.pfw_owner,
             l.Memory.cas_pending,
             l.Memory.llc_dirty,
-            List.length l.Memory.waiters ) ))
+            Memory.waiter_count mem a ) ))
   in
   let st = Memory.stats mem in
   let stats_obs =
@@ -67,16 +67,16 @@ let apply_op mem addrs now (kind, core, idx, operand, dt) =
   in
   now := !now + 1 + (dt mod 97);
   match kind mod 9 with
-  | 0 -> ignore (Memory.access mem ~core ~now:!now Arch.Load (a ()))
-  | 1 -> ignore (Memory.access ~operand mem ~core ~now:!now Arch.Store (a ()))
+  | 0 -> ignore (Mem_access.access mem ~core ~now:!now Arch.Load (a ()))
+  | 1 -> ignore (Mem_access.access ~operand mem ~core ~now:!now Arch.Store (a ()))
   | 2 ->
       ignore
-        (Memory.access ~operand:(operand mod 4)
+        (Mem_access.access ~operand:(operand mod 4)
            ~operand2:((operand + 1) mod 4)
            mem ~core ~now:!now Arch.Cas (a ()))
-  | 3 -> ignore (Memory.access ~operand:1 mem ~core ~now:!now Arch.Fai (a ()))
-  | 4 -> ignore (Memory.access mem ~core ~now:!now Arch.Tas (a ()))
-  | 5 -> ignore (Memory.access ~operand mem ~core ~now:!now Arch.Swap (a ()))
+  | 3 -> ignore (Mem_access.access ~operand:1 mem ~core ~now:!now Arch.Fai (a ()))
+  | 4 -> ignore (Mem_access.access mem ~core ~now:!now Arch.Tas (a ()))
+  | 5 -> ignore (Mem_access.access ~operand mem ~core ~now:!now Arch.Swap (a ()))
   | 6 -> Memory.poke mem (a ()) operand
   | 7 -> addrs := !addrs @ [ Memory.alloc ~home_core:core mem ]
   | _ ->
