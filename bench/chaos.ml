@@ -108,6 +108,9 @@ let run_one (c : cfg) : outcome =
   ignore (Trace.start ~capacity:(1 lsl 18) ());
   let faults = Fault.crash_stop ~seed:c.seed c.victims in
   let captured = ref None in
+  (* (d1, d2) as the last surviving thread left them: the harness
+     recycles the memory when the run returns, so read it in-run *)
+  let final = ref (0, 0) in
   let r =
     Harness.run ~faults p ~threads:c.threads ~duration:c.duration
       ~setup:(fun mem ->
@@ -118,9 +121,9 @@ let run_one (c : cfg) : outcome =
             d2 = Memory.alloc ~home_core:0 mem;
           }
         in
-        captured := Some (mem, sh);
+        captured := Some sh;
         sh)
-      ~body:(fun sh _mem ~tid ~deadline ->
+      ~body:(fun sh mem ~tid ~deadline ->
         let n = ref 0 in
         while Sim.now () < deadline do
           (match sh.lock.Lock_type.acquire_robust ~tid with
@@ -136,10 +139,11 @@ let run_one (c : cfg) : outcome =
           incr n;
           Sim.pause 120
         done;
+        final := (Memory.peek mem sh.d1, Memory.peek mem sh.d2);
         !n)
   in
   let tr = match Trace.stop () with Some t -> t | None -> assert false in
-  let mem, sh = Option.get !captured in
+  let sh = Option.get !captured in
   let order = Harness.spawn_order ~threads:c.threads in
   let completed etid =
     etid >= 0 && etid < c.threads && r.Harness.completed.(order.(etid))
@@ -156,7 +160,7 @@ let run_one (c : cfg) : outcome =
         ]
   in
   (* the critical sections' own invariant, invisible to lock events *)
-  let d1 = Memory.peek mem sh.d1 and d2 = Memory.peek mem sh.d2 in
+  let d1, d2 = !final in
   let crashed = List.length r.Harness.health.Sim.crashed in
   let violations =
     if d1 = d2 then violations

@@ -21,10 +21,13 @@
    analogue of the kernel's robust list — and are entirely separate
    code from the plain paths: a lock used only through [acquire] /
    [release] issues exactly the memory operations it did before the
-   robust layer existed.  Plain and robust acquisitions must not be
-   mixed on one lock instance (the plain paths do not maintain the
-   shadow, just as a non-robust futex acquisition is invisible to the
-   kernel's robust list). *)
+   robust layer existed — and allocates none of the robust state,
+   which is built on the first robust call.  Plain and robust
+   acquisitions must not be mixed on one lock instance while either is
+   in flight (the plain paths do not maintain the shadow, just as a
+   non-robust futex acquisition is invisible to the kernel's robust
+   list); a lock may move from plain to robust use once it is
+   quiescent. *)
 
 open Ssync_engine
 

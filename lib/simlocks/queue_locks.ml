@@ -29,12 +29,9 @@ open Ssync_engine
    corpse prefix the new holder.  The releaser walks forward: dead
    successors are excised (fixing the tail when the corpse was last),
    and the grant goes to the first live one. *)
-let mcs mem ~home_core ~n_threads ~place : Lock_type.t =
-  if n_threads <= 0 then invalid_arg "mcs: n_threads must be positive";
-  let tail = Memory.alloc ~home_core mem in
-  let next = Array.init n_threads (fun i -> Memory.alloc ~home_core:(place i) mem) in
-  let locked = Array.init n_threads (fun i -> Memory.alloc ~home_core:(place i) mem) in
-  let sh = Rshadow.create n_threads in
+let mcs_robust mem ~tail ~next ~locked ~stats ~n_threads :
+    unit Rshadow.paths =
+  let sh = Rshadow.create ~stats n_threads in
   let pred_of = Array.make n_threads (-1) in
   let ready = Array.make n_threads false in
   (* the unique still-queued successor of [t], if any *)
@@ -88,7 +85,7 @@ let mcs mem ~home_core ~n_threads ~place : Lock_type.t =
     in
     walk pred_of.(tid) []
   in
-  let acquire_robust ~tid =
+  let acquire ~tid =
     Rshadow.register sh tid;
     let det = ref (-1) in
     Sim.store next.(tid) 0;
@@ -124,7 +121,7 @@ let mcs mem ~home_core ~n_threads ~place : Lock_type.t =
       wait ()
     end
   in
-  let release_robust ~tid =
+  let release ~tid =
     sh.Rshadow.phase.(tid) <- Rshadow.Releasing;
     ignore (Sim.load next.(tid));
     (* honest successor read above; the shadow below is exact *)
@@ -172,6 +169,18 @@ let mcs mem ~home_core ~n_threads ~place : Lock_type.t =
     in
     handoff ()
   in
+  { Rshadow.acquire; release; ext = () }
+
+let mcs mem ~home_core ~n_threads ~place : Lock_type.t =
+  if n_threads <= 0 then invalid_arg "mcs: n_threads must be positive";
+  let tail = Memory.alloc ~home_core mem in
+  let next = Array.init n_threads (fun i -> Memory.alloc ~home_core:(place i) mem) in
+  let locked = Array.init n_threads (fun i -> Memory.alloc ~home_core:(place i) mem) in
+  let rstats = Lock_type.rstats_zero () in
+  let acquire_robust, release_robust =
+    Rshadow.entries
+      (lazy (mcs_robust mem ~tail ~next ~locked ~stats:rstats ~n_threads))
+  in
   {
     name = "MCS";
     acquire =
@@ -206,7 +215,7 @@ let mcs mem ~home_core ~n_threads ~place : Lock_type.t =
         Sim.cas tail ~expected:0 ~desired:(tid + 1));
     acquire_robust;
     release_robust;
-    rstats = sh.Rshadow.stats;
+    rstats;
   }
 
 (* ------------------------------ CLH ------------------------------ *)
@@ -226,22 +235,11 @@ let mcs mem ~home_core ~n_threads ~place : Lock_type.t =
 
 type clh_state = { mutable mine : Memory.addr; mutable pred : Memory.addr }
 
-(* Returns the lock, a [waiters] probe for the cohort locks (while
-   [tid] holds the lock, someone queues behind it iff the tail moved
-   past its node), and the robust extension.  [is_dead] / [dead_of] /
-   [on_removed] retarget the robust id space when the ids are not
-   thread ids (a cohort's global lock over cluster ids). *)
-let clh_ext ?rstats ?is_dead ?dead_of ?on_removed mem ~home_core ~n_threads
-    ~place : Lock_type.t * (tid:int -> bool) * Rshadow.ext =
-  if n_threads <= 0 then invalid_arg "clh: n_threads must be positive";
-  let dummy = Memory.alloc ~home_core mem in
-  (* dummy starts "free" (0) *)
-  let tail = Memory.alloc ~home_core ~value:(dummy + 1) mem in
-  let states =
-    Array.init n_threads (fun i ->
-        { mine = Memory.alloc ~home_core:(place i) mem; pred = -1 })
-  in
-  let sh = Rshadow.create ?stats:rstats ?is_dead ?dead_of ?on_removed n_threads in
+(* Robust path of a CLH lock over the per-id nodes [states], under the
+   discipline above. *)
+let clh_robust mem ~tail ~states ~stats ?is_dead ?dead_of ?on_removed
+    n_threads : Rshadow.ext Rshadow.paths =
+  let sh = Rshadow.create ~stats ?is_dead ?dead_of ?on_removed n_threads in
   let node_owner : (Memory.addr, int) Hashtbl.t = Hashtbl.create 16 in
   let pred_tid = Array.make n_threads (-1) in
   let rec wait_robust ~id det =
@@ -280,7 +278,7 @@ let clh_ext ?rstats ?is_dead ?dead_of ?on_removed mem ~home_core ~n_threads
       end
     end
   in
-  let acquire_robust ~tid =
+  let acquire ~tid =
     Rshadow.register sh tid;
     let det = ref (-1) in
     let st = states.(tid) in
@@ -297,7 +295,7 @@ let clh_ext ?rstats ?is_dead ?dead_of ?on_removed mem ~home_core ~n_threads
     ignore (Sim.swap tail (st.mine + 1));
     wait_robust ~id:tid det
   in
-  let release_robust ~tid =
+  let release ~tid =
     let st = states.(tid) in
     sh.Rshadow.phase.(tid) <- Rshadow.Out;
     Sim.store st.mine 0;
@@ -306,6 +304,48 @@ let clh_ext ?rstats ?is_dead ?dead_of ?on_removed mem ~home_core ~n_threads
     st.pred <- -1;
     pred_tid.(tid) <- -1
   in
+  let ext =
+    {
+      Rshadow.x_phase = (fun id -> sh.Rshadow.phase.(id));
+      x_adopt =
+        (fun id ->
+          let det = ref (Sim.now ()) in
+          if sh.Rshadow.phase.(id) = Rshadow.Holder then Rshadow.grant sh det
+          else wait_robust ~id det);
+      x_waiting_live = (fun () -> Rshadow.waiting_live sh);
+      x_engaged_live = (fun () -> Rshadow.engaged_live sh);
+      x_harvest = (fun () -> Rshadow.harvest_dead_holders sh);
+    }
+  in
+  { Rshadow.acquire; release; ext }
+
+(* Returns the lock, a [waiters] probe for the cohort locks (while
+   [tid] holds the lock, someone queues behind it iff the tail moved
+   past its node), and the robust paths with their extension (built on
+   first use).  [is_dead] / [dead_of] / [on_removed] retarget the
+   robust id space when the ids are not thread ids (a cohort's local
+   lock over a cluster's member indices, or its global lock over
+   cluster ids). *)
+let clh_ext ?rstats ?is_dead ?dead_of ?on_removed mem ~home_core ~n_threads
+    ~place :
+    Lock_type.t * (tid:int -> bool) * Rshadow.ext Rshadow.paths Lazy.t =
+  if n_threads <= 0 then invalid_arg "clh: n_threads must be positive";
+  let dummy = Memory.alloc ~home_core mem in
+  (* dummy starts "free" (0) *)
+  let tail = Memory.alloc ~home_core ~value:(dummy + 1) mem in
+  let states =
+    Array.init n_threads (fun i ->
+        { mine = Memory.alloc ~home_core:(place i) mem; pred = -1 })
+  in
+  let rstats =
+    match rstats with Some s -> s | None -> Lock_type.rstats_zero ()
+  in
+  let robust =
+    lazy
+      (clh_robust mem ~tail ~states ~stats:rstats ?is_dead ?dead_of
+         ?on_removed n_threads)
+  in
+  let acquire_robust, release_robust = Rshadow.entries robust in
   let lock : Lock_type.t =
     {
       name = "CLH";
@@ -346,24 +386,11 @@ let clh_ext ?rstats ?is_dead ?dead_of ?on_removed mem ~home_core ~n_threads
           end);
       acquire_robust;
       release_robust;
-      rstats = sh.Rshadow.stats;
+      rstats;
     }
   in
   let waiters ~tid = Sim.load tail <> states.(tid).mine + 1 in
-  let ext =
-    {
-      Rshadow.x_phase = (fun id -> sh.Rshadow.phase.(id));
-      x_adopt =
-        (fun id ->
-          let det = ref (Sim.now ()) in
-          if sh.Rshadow.phase.(id) = Rshadow.Holder then Rshadow.grant sh det
-          else wait_robust ~id det);
-      x_waiting_live = (fun () -> Rshadow.waiting_live sh);
-      x_engaged_live = (fun () -> Rshadow.engaged_live sh);
-      x_harvest = (fun () -> Rshadow.harvest_dead_holders sh);
-    }
-  in
-  (lock, waiters, ext)
+  (lock, waiters, robust)
 
 let clh mem ~home_core ~n_threads ~place : Lock_type.t =
   let lock, _, _ = clh_ext mem ~home_core ~n_threads ~place in

@@ -23,7 +23,15 @@
 
    Crash-stop is permanent ([Sim.tid_crashed] is monotone), so "owner
    is dead" is a stable property: once a recovery decision is made in a
-   plain block, no later event can invalidate it. *)
+   plain block, no later event can invalidate it.
+
+   Pay per use: the plain paths never read a shadow, so a lock builds
+   its shadow, its robust-only tables and the robust closures over them
+   on the first robust call (or the first [ext] probe of a cohort), not
+   at construction — see [paths].  Only the [Lock_type.rstats] record
+   is created eagerly, because the lock exposes it and the levels of a
+   cohort share it.  The build reads nothing but the lock's own words,
+   so a lock may move from plain to robust use once it is quiescent. *)
 
 open Ssync_engine
 
@@ -48,9 +56,8 @@ type t = {
          cohort reset per-cluster ownership flags *)
 }
 
-let create ?stats ?is_dead ?(dead_of = fun i -> [ i ])
+let create ~stats ?is_dead ?(dead_of = fun i -> [ i ])
     ?(on_removed = fun _ -> ()) n =
-  let stats = match stats with Some s -> s | None -> Lock_type.rstats_zero () in
   {
     n;
     eng = Array.make (max 1 n) (-1);
@@ -166,3 +173,17 @@ type ext = {
   x_engaged_live : unit -> bool;
   x_harvest : unit -> int list;
 }
+
+(* A lock's robust entries plus whatever extension it exposes to a
+   cohort ([ext], or [()] for a standalone lock). *)
+type 'x paths = {
+  acquire : tid:int -> Lock_type.grant;
+  release : tid:int -> unit;
+  ext : 'x;
+}
+
+(* The [acquire_robust]/[release_robust] fields of a lock whose robust
+   paths are built on first use. *)
+let entries (p : _ paths Lazy.t) =
+  ( (fun ~tid -> (Lazy.force p).acquire ~tid),
+    fun ~tid -> (Lazy.force p).release ~tid )

@@ -21,8 +21,10 @@ open Ssync_engine
    crash-safe because crash-stop is permanent: a value naming a dead
    owner stays naming a dead owner until somebody overwrites it, and
    the peek-predicted CAS overwrites exactly the value it peeked. *)
-let robust_word_paths mem sh lock ~mk_backoff =
-  let acquire_robust ~tid =
+let robust_word_paths mem ~stats ~n_threads lock ~mk_backoff :
+    unit Rshadow.paths =
+  let sh = Rshadow.create ~stats n_threads in
+  let acquire ~tid =
     Rshadow.register sh tid;
     let det = ref (-1) in
     let backoff = mk_backoff tid in
@@ -49,22 +51,25 @@ let robust_word_paths mem sh lock ~mk_backoff =
     in
     loop ()
   in
-  let release_robust ~tid =
+  let release ~tid =
     sh.Rshadow.phase.(tid) <- Rshadow.Out;
     Sim.store lock 0
   in
-  (acquire_robust, release_robust)
+  { Rshadow.acquire; release; ext = () }
 
 (* ------------------------------ TAS ------------------------------ *)
 (* Spin directly on the atomic: every probe is an exclusive transaction
    on the lock line, the classic non-scalable spin lock. *)
 let tas mem ~home_core ~n_threads : Lock_type.t =
   let lock = Memory.alloc ~home_core mem in
-  let sh = Rshadow.create n_threads in
+  let rstats = Lock_type.rstats_zero () in
   let acquire_robust, release_robust =
     (* the plain TAS hammers with poll 0; the robust path's probe pair
        (load + peek-gated CAS) needs a short gap to stay comparable *)
-    robust_word_paths mem sh lock ~mk_backoff:(fun _tid () -> 16)
+    Rshadow.entries
+      (lazy
+        (robust_word_paths mem ~stats:rstats ~n_threads lock
+           ~mk_backoff:(fun _tid () -> 16)))
   in
   {
     name = "TAS";
@@ -73,7 +78,7 @@ let tas mem ~home_core ~n_threads : Lock_type.t =
     try_acquire = (fun ~tid:_ -> Sim.tas lock);
     acquire_robust;
     release_robust;
-    rstats = sh.Rshadow.stats;
+    rstats;
   }
 
 (* ------------------------------ TTAS ----------------------------- *)
@@ -82,24 +87,28 @@ let tas mem ~home_core ~n_threads : Lock_type.t =
    back off exponentially after a lost race. *)
 let ttas mem ~home_core ~n_threads : Lock_type.t =
   let lock = Memory.alloc ~home_core mem in
-  (* one backoff per thread, reset at each acquire — state identical to
-     a fresh one, without allocating on the lock's hot path *)
-  let backoffs = Hashtbl.create 16 in
+  (* one backoff per thread, created on its first acquire and reset at
+     each later one — state identical to a fresh one, without
+     allocating on the lock's hot path *)
+  let backoffs = Array.make n_threads None in
   let backoff_for tid =
-    match Hashtbl.find_opt backoffs tid with
+    match backoffs.(tid) with
     | Some b ->
         Backoff.reset b;
         b
     | None ->
         let b = Backoff.create ~seed:tid () in
-        Hashtbl.add backoffs tid b;
+        backoffs.(tid) <- Some b;
         b
   in
-  let sh = Rshadow.create n_threads in
+  let rstats = Lock_type.rstats_zero () in
   let acquire_robust, release_robust =
-    robust_word_paths mem sh lock ~mk_backoff:(fun tid ->
-        let b = backoff_for tid in
-        fun () -> Backoff.once b)
+    Rshadow.entries
+      (lazy
+        (robust_word_paths mem ~stats:rstats ~n_threads lock
+           ~mk_backoff:(fun tid ->
+             let b = backoff_for tid in
+             fun () -> Backoff.once b)))
   in
   {
     name = "TTAS";
@@ -123,7 +132,7 @@ let ttas mem ~home_core ~n_threads : Lock_type.t =
     try_acquire = (fun ~tid:_ -> Sim.load lock = 0 && Sim.tas lock);
     acquire_robust;
     release_robust;
-    rstats = sh.Rshadow.stats;
+    rstats;
   }
 
 (* ----------------------------- TICKET ---------------------------- *)
@@ -151,15 +160,100 @@ let ticket_variant_name = function
 let ticket_shift = 1 lsl 24
 let ticket_mask = ticket_shift - 1
 
+(* Robust path of a ticket lock on [line].  Shadow: which raw ticket
+   each id drew ([tick], -1 none) — set in the same plain block as the
+   faa that draws it, via a peek of the line, so the mapping turn ->
+   owner is exact.  A waiter whose turn is held up by a dead owner
+   advances [current] past the dead turn with a peek-predicted CAS (the
+   robust "skip"): a dead waiter's turn is simply consumed, a dead
+   holder's turn additionally queues the EOWNERDEAD witness. *)
+let ticket_robust mem line ~backoff_base ~stats ?is_dead ?dead_of ?on_removed
+    n_ids : Rshadow.ext Rshadow.paths =
+  let sh = Rshadow.create ~stats ?is_dead ?dead_of ?on_removed n_ids in
+  let tick = Array.make (max 1 n_ids) (-1) in
+  let owner_of turn =
+    let rec go i =
+      if i >= n_ids then None
+      else if tick.(i) = turn then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let rec wait_robust ~id ~my det =
+    ignore (Sim.load line);
+    let v = Memory.peek mem line in
+    let cur = v land ticket_mask in
+    if cur = my then begin
+      sh.Rshadow.phase.(id) <- Rshadow.Holder;
+      Rshadow.grant sh det
+    end
+    else begin
+      (match owner_of cur with
+      | Some d when Rshadow.dead sh d ->
+          Rshadow.detect det;
+          (if sh.Rshadow.phase.(d) = Rshadow.Holder then
+             Rshadow.claim_holder sh d
+           else Rshadow.excise sh d);
+          tick.(d) <- -1;
+          (* skip the dead turn: advance current past it (guaranteed:
+             [v] was peeked in this same plain block) *)
+          ignore (Sim.cas line ~expected:v ~desired:(v + 1))
+      | _ ->
+          let dist = (my - cur + ticket_shift) land ticket_mask in
+          Sim.pause (max 1 (dist * max 1 (backoff_base / 2))));
+      wait_robust ~id ~my det
+    end
+  in
+  let acquire ~tid =
+    Rshadow.register sh tid;
+    let det = ref (-1) in
+    (* predict the drawn ticket in the same plain block as the faa *)
+    let v0 = Memory.peek mem line in
+    let my = (v0 lsr 24) land ticket_mask in
+    tick.(tid) <- my;
+    if v0 land ticket_mask = my then begin
+      (* uncontended: granted at the draw itself *)
+      sh.Rshadow.phase.(tid) <- Rshadow.Holder;
+      ignore (Sim.faa line ticket_shift);
+      Rshadow.grant sh det
+    end
+    else begin
+      sh.Rshadow.phase.(tid) <- Rshadow.Waiting;
+      ignore (Sim.faa line ticket_shift);
+      wait_robust ~id:tid ~my det
+    end
+  in
+  let release ~tid =
+    tick.(tid) <- -1;
+    sh.Rshadow.phase.(tid) <- Rshadow.Out;
+    ignore (Sim.faa_store line 1)
+  in
+  let ext =
+    {
+      Rshadow.x_phase = (fun id -> sh.Rshadow.phase.(id));
+      x_adopt =
+        (fun id ->
+          let det = ref (Sim.now ()) in
+          if sh.Rshadow.phase.(id) = Rshadow.Holder then Rshadow.grant sh det
+          else wait_robust ~id ~my:tick.(id) det);
+      x_waiting_live = (fun () -> Rshadow.waiting_live sh);
+      x_engaged_live = (fun () -> Rshadow.engaged_live sh);
+      x_harvest = (fun () -> Rshadow.harvest_dead_holders sh);
+    }
+  in
+  { Rshadow.acquire; release; ext }
+
 (* Returns the lock plus a [waiters] probe (does anybody queue behind
-   the current holder?) and the robust extension, both needed by the
-   hierarchical cohort locks.  [n_ids] bounds the id space of the
-   robust path (thread ids, or cluster ids when this is a cohort's
-   global lock — then [is_dead]/[dead_of]/[on_removed] translate
-   cluster ids to thread liveness). *)
+   the current holder?) and the robust paths with their extension
+   (built on first use), both needed by the hierarchical cohort locks.
+   [n_ids] bounds the id space of the robust path (thread ids, a
+   cluster's member indices when this is a cohort's local lock, or
+   cluster ids when it is a cohort's global lock — then
+   [is_dead]/[dead_of]/[on_removed] translate the ids to thread
+   liveness and witnesses). *)
 let ticket_ext ?(variant = Ticket_backoff) ?(backoff_base = 1500) ?rstats
     ?is_dead ?dead_of ?on_removed mem ~home_core ~n_ids :
-    Lock_type.t * (unit -> bool) * Rshadow.ext =
+    Lock_type.t * (unit -> bool) * Rshadow.ext Rshadow.paths Lazy.t =
   let line = Memory.alloc ~home_core mem in
   let wait_turn my =
     let probe () =
@@ -197,72 +291,15 @@ let ticket_ext ?(variant = Ticket_backoff) ?(backoff_base = 1500) ?rstats
     in
     loop (probe ())
   in
-  (* Robust path.  Shadow: which raw ticket each id drew ([tick], -1
-     none) — set in the same plain block as the faa that draws it, via
-     a peek of the line, so the mapping turn -> owner is exact.  A
-     waiter whose turn is held up by a dead owner advances [current]
-     past the dead turn with a peek-predicted CAS (the robust "skip"):
-     a dead waiter's turn is simply consumed, a dead holder's turn
-     additionally queues the EOWNERDEAD witness. *)
-  let sh = Rshadow.create ?stats:rstats ?is_dead ?dead_of ?on_removed n_ids in
-  let tick = Array.make (max 1 n_ids) (-1) in
-  let owner_of turn =
-    let rec go i =
-      if i >= n_ids then None
-      else if tick.(i) = turn then Some i
-      else go (i + 1)
-    in
-    go 0
+  let rstats =
+    match rstats with Some s -> s | None -> Lock_type.rstats_zero ()
   in
-  let rec wait_robust ~id ~my det =
-    ignore (Sim.load line);
-    let v = Memory.peek mem line in
-    let cur = v land ticket_mask in
-    if cur = my then begin
-      sh.Rshadow.phase.(id) <- Rshadow.Holder;
-      Rshadow.grant sh det
-    end
-    else begin
-      (match owner_of cur with
-      | Some d when Rshadow.dead sh d ->
-          Rshadow.detect det;
-          (if sh.Rshadow.phase.(d) = Rshadow.Holder then
-             Rshadow.claim_holder sh d
-           else Rshadow.excise sh d);
-          tick.(d) <- -1;
-          (* skip the dead turn: advance current past it (guaranteed:
-             [v] was peeked in this same plain block) *)
-          ignore (Sim.cas line ~expected:v ~desired:(v + 1))
-      | _ ->
-          let dist = (my - cur + ticket_shift) land ticket_mask in
-          Sim.pause (max 1 (dist * max 1 (backoff_base / 2))));
-      wait_robust ~id ~my det
-    end
+  let robust =
+    lazy
+      (ticket_robust mem line ~backoff_base ~stats:rstats ?is_dead ?dead_of
+         ?on_removed n_ids)
   in
-  let acquire_robust ~tid =
-    Rshadow.register sh tid;
-    let det = ref (-1) in
-    (* predict the drawn ticket in the same plain block as the faa *)
-    let v0 = Memory.peek mem line in
-    let my = (v0 lsr 24) land ticket_mask in
-    tick.(tid) <- my;
-    if v0 land ticket_mask = my then begin
-      (* uncontended: granted at the draw itself *)
-      sh.Rshadow.phase.(tid) <- Rshadow.Holder;
-      ignore (Sim.faa line ticket_shift);
-      Rshadow.grant sh det
-    end
-    else begin
-      sh.Rshadow.phase.(tid) <- Rshadow.Waiting;
-      ignore (Sim.faa line ticket_shift);
-      wait_robust ~id:tid ~my det
-    end
-  in
-  let release_robust ~tid =
-    tick.(tid) <- -1;
-    sh.Rshadow.phase.(tid) <- Rshadow.Out;
-    ignore (Sim.faa_store line 1)
-  in
+  let acquire_robust, release_robust = Rshadow.entries robust in
   let lock : Lock_type.t =
     {
       name = ticket_variant_name variant;
@@ -283,27 +320,14 @@ let ticket_ext ?(variant = Ticket_backoff) ?(backoff_base = 1500) ?rstats
           nxt = cur && Sim.cas line ~expected:v ~desired:(v + ticket_shift));
       acquire_robust;
       release_robust;
-      rstats = sh.Rshadow.stats;
+      rstats;
     }
   in
   let waiters () =
     let v = Sim.load line in
     (v lsr 24) land ticket_mask > (v land ticket_mask) + 1
   in
-  let ext =
-    {
-      Rshadow.x_phase = (fun id -> sh.Rshadow.phase.(id));
-      x_adopt =
-        (fun id ->
-          let det = ref (Sim.now ()) in
-          if sh.Rshadow.phase.(id) = Rshadow.Holder then Rshadow.grant sh det
-          else wait_robust ~id ~my:tick.(id) det);
-      x_waiting_live = (fun () -> Rshadow.waiting_live sh);
-      x_engaged_live = (fun () -> Rshadow.engaged_live sh);
-      x_harvest = (fun () -> Rshadow.harvest_dead_holders sh);
-    }
-  in
-  (lock, waiters, ext)
+  (lock, waiters, robust)
 
 let ticket ?variant ?backoff_base mem ~home_core ~n_threads : Lock_type.t =
   let lock, _, _ =
@@ -319,21 +343,19 @@ let ticket ?variant ?backoff_base mem ~home_core ~n_threads : Lock_type.t =
    position currently granted) advanced atomically with each release or
    excision; the slot flags remain the wake-up vehicle, so a stale flag
    left by a dead thread is harmless (the turn check rejects it) and a
-   missing flag whose writer died is compensated by a self-grant. *)
-let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
-  if n_slots <= 0 then invalid_arg "array_lock: n_slots must be positive";
-  let tail = Memory.alloc ~home_core mem in
-  let slots = Array.init n_slots (fun _ -> Memory.alloc ~home_core mem) in
-  Memory.poke mem slots.(0) 1;
-  (* remembers which slot each thread owns between acquire and release *)
-  let my_slot = Array.make 1024 0 in
-  let sh = Rshadow.create n_threads in
+   missing flag whose writer died is compensated by a self-grant.  The
+   first turn is the tail's current value: 0 on a fresh lock, the next
+   position to be drawn on one that quiesced after plain use (whose
+   grant flag the last plain release already set). *)
+let array_robust mem ~tail ~slots ~stats ~n_threads : unit Rshadow.paths =
+  let n_slots = Array.length slots in
+  let sh = Rshadow.create ~stats n_threads in
   let pos_of = Array.make (max 1 n_threads) (-1) in
   (* absolute position drawn by each id *)
-  let turn = ref 0 in
+  let turn = ref (Memory.peek mem tail) in
   let flag_writer = ref (-1) in
-  (* who owes the current turn its grant flag; -1 = initial setup (the
-     poked slots.(0)), always "already written" *)
+  (* who owes the current turn its grant flag; -1 = already written
+     (the initial poke of slots.(0), or the last plain release) *)
   let owner_at pos =
     let rec go i =
       if i >= n_threads then None
@@ -342,7 +364,7 @@ let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
     in
     go 0
   in
-  let acquire_robust ~tid =
+  let acquire ~tid =
     Rshadow.register sh tid;
     let det = ref (-1) in
     let t0 = Memory.peek mem tail in
@@ -395,7 +417,7 @@ let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
     in
     wait ()
   in
-  let release_robust ~tid =
+  let release ~tid =
     let p = pos_of.(tid) in
     let idx = p mod n_slots in
     pos_of.(tid) <- -1;
@@ -404,6 +426,20 @@ let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
     flag_writer := tid;
     Sim.store slots.(idx) 0;
     Sim.store slots.((idx + 1) mod n_slots) 1
+  in
+  { Rshadow.acquire; release; ext = () }
+
+let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
+  if n_slots <= 0 then invalid_arg "array_lock: n_slots must be positive";
+  let tail = Memory.alloc ~home_core mem in
+  let slots = Array.init n_slots (fun _ -> Memory.alloc ~home_core mem) in
+  Memory.poke mem slots.(0) 1;
+  (* remembers which slot each thread owns between acquire and release *)
+  let my_slot = Array.make n_threads 0 in
+  let rstats = Lock_type.rstats_zero () in
+  let acquire_robust, release_robust =
+    Rshadow.entries
+      (lazy (array_robust mem ~tail ~slots ~stats:rstats ~n_threads))
   in
   {
     name = "ARRAY";
@@ -431,68 +467,19 @@ let array_lock mem ~home_core ~n_slots ~n_threads : Lock_type.t =
          true));
     acquire_robust;
     release_robust;
-    rstats = sh.Rshadow.stats;
+    rstats;
   }
 
 (* ----------------------------- MUTEX ----------------------------- *)
-(* A Pthread-Mutex model: fast path is a CAS; the slow path queues in
-   the kernel (a futex wait: syscall overhead plus a sleep the releaser
-   ends).  The kernel's wait queue is FIFO, so a contended release
-   hands the mutex directly to the longest-sleeping waiter — the holder
-   cannot barge back in past threads already asleep, which is what
-   keeps pthread throughput flat (not collapsing) at high contention.
-
-   The wait queue and queue membership are kernel state, invisible to
-   the coherence protocol, so they live in plain OCaml; each sleeper
-   has its own grant-flag line, stored by the releaser, which is how
-   the wake-up travels through the memory model.  Lock word: 0 free,
-   1 held, 2 held with (possible) waiters.
-
-   Robust path: the closest to the real thing — the shadow *is* the
-   kernel's robust bookkeeping.  The owner is recorded with the
-   acquiring CAS/swap; a releaser requeues past dead sleepers; when the
-   owner dies, the head live sleeper claims the mutex with EOWNERDEAD
-   (after pruning dead sleepers ahead of it). *)
-let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
-    ~n_threads : Lock_type.t =
-  let lock = Memory.alloc ~home_core mem in
-  let sleepers : int list ref = ref [] in
-  let flags : (int, Memory.addr) Hashtbl.t = Hashtbl.create 16 in
-  let flag_for tid =
-    match Hashtbl.find_opt flags tid with
-    | Some a -> a
-    | None ->
-        let a = Memory.alloc ~home_core mem in
-        Hashtbl.add flags tid a;
-        a
-  in
-  let wait_flag flag =
-    if Sim.load flag = 0 then
-      ignore (Sim.spin_load flag ~while_:0 ~poll:(syscall_cycles + sleep_cycles))
-  in
-  let rec slow tid flag =
-    if Sim.swap lock 2 <> 0 then begin
-      Sim.store flag 0;
-      sleepers := !sleepers @ [ tid ];
-      Sim.pause syscall_cycles; (* futex_wait entry *)
-      wait_granted tid flag
-    end
-  and wait_granted tid flag =
-    if not (List.mem tid !sleepers) then
-      (* a releaser dequeued us: the mutex is ours once the grant flag
-         lands (direct handoff; the lock word never went through 0) *)
-      wait_flag flag
-    else if Sim.load lock = 0 then begin
-      (* a release raced past our enqueue and saw an empty queue *)
-      if List.mem tid !sleepers then begin
-        sleepers := List.filter (fun t -> t <> tid) !sleepers;
-        slow tid flag
-      end
-      else wait_granted tid flag
-    end
-    else wait_flag flag
-  in
-  let sh = Rshadow.create n_threads in
+(* Robust path of the Pthread-Mutex model below: the closest to the
+   real thing — the shadow *is* the kernel's robust bookkeeping.  The
+   owner is recorded with the acquiring CAS/swap; a releaser requeues
+   past dead sleepers; when the owner dies, the head live sleeper
+   claims the mutex with EOWNERDEAD (after pruning dead sleepers ahead
+   of it). *)
+let mutex_robust mem lock ~sleepers ~flag_for ~syscall_cycles ~sleep_cycles
+    ~stats ~n_threads : unit Rshadow.paths =
+  let sh = Rshadow.create ~stats n_threads in
   let owner = ref (-1) in
   let prune_dead_sleepers () =
     sleepers :=
@@ -505,7 +492,7 @@ let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
           else true)
         !sleepers
   in
-  let acquire_robust ~tid =
+  let acquire ~tid =
     Rshadow.register sh tid;
     let det = ref (-1) in
     Sim.pause 20; (* library call overhead *)
@@ -581,7 +568,7 @@ let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
       enter ()
     end
   in
-  let release_robust ~tid =
+  let release ~tid =
     sh.Rshadow.phase.(tid) <- Rshadow.Releasing;
     prune_dead_sleepers ();
     match !sleepers with
@@ -600,6 +587,69 @@ let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
         sh.Rshadow.phase.(tid) <- Rshadow.Out;
         Sim.pause syscall_cycles; (* futex_wake *)
         Sim.store (flag_for t) 1
+  in
+  { Rshadow.acquire; release; ext = () }
+
+(* A Pthread-Mutex model: fast path is a CAS; the slow path queues in
+   the kernel (a futex wait: syscall overhead plus a sleep the releaser
+   ends).  The kernel's wait queue is FIFO, so a contended release
+   hands the mutex directly to the longest-sleeping waiter — the holder
+   cannot barge back in past threads already asleep, which is what
+   keeps pthread throughput flat (not collapsing) at high contention.
+
+   The wait queue and queue membership are kernel state, invisible to
+   the coherence protocol, so they live in plain OCaml; each sleeper
+   has its own grant-flag line, stored by the releaser, which is how
+   the wake-up travels through the memory model.  Lock word: 0 free,
+   1 held, 2 held with (possible) waiters. *)
+let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
+    ~n_threads : Lock_type.t =
+  let lock = Memory.alloc ~home_core mem in
+  let sleepers : int list ref = ref [] in
+  (* each thread's grant-flag line, allocated on its first sleep; -1
+     none yet *)
+  let flags = Array.make n_threads (-1) in
+  let flag_for tid =
+    let a = flags.(tid) in
+    if a >= 0 then a
+    else begin
+      let a = Memory.alloc ~home_core mem in
+      flags.(tid) <- a;
+      a
+    end
+  in
+  let wait_flag flag =
+    if Sim.load flag = 0 then
+      ignore (Sim.spin_load flag ~while_:0 ~poll:(syscall_cycles + sleep_cycles))
+  in
+  let rec slow tid flag =
+    if Sim.swap lock 2 <> 0 then begin
+      Sim.store flag 0;
+      sleepers := !sleepers @ [ tid ];
+      Sim.pause syscall_cycles; (* futex_wait entry *)
+      wait_granted tid flag
+    end
+  and wait_granted tid flag =
+    if not (List.mem tid !sleepers) then
+      (* a releaser dequeued us: the mutex is ours once the grant flag
+         lands (direct handoff; the lock word never went through 0) *)
+      wait_flag flag
+    else if Sim.load lock = 0 then begin
+      (* a release raced past our enqueue and saw an empty queue *)
+      if List.mem tid !sleepers then begin
+        sleepers := List.filter (fun t -> t <> tid) !sleepers;
+        slow tid flag
+      end
+      else wait_granted tid flag
+    end
+    else wait_flag flag
+  in
+  let rstats = Lock_type.rstats_zero () in
+  let acquire_robust, release_robust =
+    Rshadow.entries
+      (lazy
+        (mutex_robust mem lock ~sleepers ~flag_for ~syscall_cycles
+           ~sleep_cycles ~stats:rstats ~n_threads))
   in
   {
     name = "MUTEX";
@@ -625,5 +675,5 @@ let mutex ?(syscall_cycles = 900) ?(sleep_cycles = 1800) mem ~home_core
         Sim.cas lock ~expected:0 ~desired:1);
     acquire_robust;
     release_robust;
-    rstats = sh.Rshadow.stats;
+    rstats;
   }

@@ -1,4 +1,5 @@
-(* Allocation regression tests for the per-access path.
+(* Allocation regression tests for the per-access path and for lock
+   construction.
 
    A simulated memory operation crosses [Sim]'s effect handler,
    [Memory.access_lat_in] and the cost model.  The memory entry itself
@@ -10,6 +11,7 @@
 open Ssync_platform
 open Ssync_coherence
 open Ssync_engine
+open Ssync_simlocks
 
 let calls = 512
 
@@ -114,6 +116,117 @@ let test_sim_load_words () =
     Alcotest.failf "Sim.load allocates %.2f words per op (bound %.0f)" per_op
       load_words_bound
 
+(* ------------------------------------------------------------------ *)
+(* Lock construction budget.  The 512-lock figures build hundreds of
+   locks per simulation, so building a lock must pay only for the state
+   its plain path uses: the robust shadows and closures are built on
+   the first robust call, a cohort's local locks are sized to their
+   cluster's members, and per-thread arrays to the thread count. *)
+
+(* Minor words of one [Simlock.create] at 36 threads on the Opteron, on
+   a memory whose line records come warm from the domain pool (as every
+   job after a domain's first one sees them), measured on OCaml 5.1.1:
+   TAS 53, TTAS 96, TICKET 74, ARRAY 213, MUTEX 124, MCS 288, CLH 294,
+   HCLH 1,199, HTICKET 842.  With the robust state built eagerly TAS
+   takes 131 and HTICKET 2,085; with every cohort local spanning all
+   thread ids HCLH takes 4,072.  The bounds leave ~10% of slack. *)
+let construction_budget =
+  Simlock.
+    [
+      (Tas, 60);
+      (Ttas, 105);
+      (Ticket, 82);
+      (Array_lock, 235);
+      (Mutex, 137);
+      (Mcs, 317);
+      (Clh, 324);
+      (Hclh, 1320);
+      (Hticket, 930);
+    ]
+
+let construction_threads = 36
+
+(* Minor words and simulated lines of one [Simlock.create]. *)
+let construction_cost (p : Platform.t) ~n_threads algo =
+  (* warm the pool with a memory that held more lines than one lock *)
+  let m0 = Memory.create p in
+  for _ = 1 to 3 do
+    ignore (Simlock.create m0 p ~n_threads algo)
+  done;
+  Memory.dispose m0;
+  let m = Memory.create p in
+  let words =
+    words_of (fun () -> ignore (Simlock.create m p ~n_threads algo))
+  in
+  let l0 = Memory.n_lines m in
+  ignore (Simlock.create m p ~n_threads algo);
+  let lines = Memory.n_lines m - l0 in
+  Memory.dispose m;
+  (words, lines)
+
+let test_construction_words () =
+  List.iter
+    (fun (algo, bound) ->
+      let words, _ =
+        construction_cost Platform.opteron ~n_threads:construction_threads algo
+      in
+      if words > float_of_int bound then
+        Alcotest.failf "Simlock.create %s allocates %.0f minor words (bound %d)"
+          (Simlock.name algo) words bound)
+    construction_budget
+
+(* A cohort allocates one queue node per member thread plus fixed lines:
+   HCLH a dummy node and a tail per occupied cluster, and the global
+   CLH's dummy, tail and one node per cluster; HTICKET one ticket line
+   per occupied cluster plus the global one.  Nothing scales with
+   threads x clusters, and a cluster no thread is placed on costs only
+   its global CLH node. *)
+let test_cohort_lines () =
+  List.iter
+    (fun (p : Platform.t) ->
+      let topo = p.Platform.topo in
+      let nodes = topo.Topology.n_nodes in
+      List.iter
+        (fun n_threads ->
+          let occupied =
+            List.length
+              (List.sort_uniq compare
+                 (List.init n_threads (fun tid ->
+                      topo.Topology.node_of_core (Platform.place p tid))))
+          in
+          List.iter
+            (fun (algo, expected) ->
+              let _, lines = construction_cost p ~n_threads algo in
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s at %d threads: simulated lines"
+                   p.Platform.name (Simlock.name algo) n_threads)
+                expected lines)
+            Simlock.
+              [
+                (Hclh, n_threads + (2 * occupied) + nodes + 2);
+                (Hticket, occupied + 1);
+              ])
+        [ 1; 7; 36 ])
+    [ Platform.opteron; Platform.xeon ]
+
+(* ARRAY's per-thread slot memory follows [n_threads]: a thread id past
+   any fixed table size still works. *)
+let test_array_lock_wide_tids () =
+  let p = Platform.opteron in
+  let n_threads = 1100 in
+  let sim = Sim.create p in
+  let lock = Simlock.create (Sim.memory sim) p ~n_threads Simlock.Array_lock in
+  let rounds = ref 0 in
+  Sim.spawn sim ~core:0 (fun () ->
+      List.iter
+        (fun tid ->
+          lock.Lock_type.acquire ~tid;
+          lock.Lock_type.release ~tid;
+          incr rounds)
+        [ 0; 1023; 1024; n_threads - 1 ]);
+  ignore (Sim.run sim);
+  Alcotest.(check int) "acquire/release at every tid" 4 !rounds
+
 (* [Coreset.next] walks exactly the members, in ascending order. *)
 let qcheck_coreset_next =
   QCheck.Test.make ~count:300 ~name:"Coreset.next walks the members"
@@ -138,4 +251,10 @@ let suite =
     Alcotest.test_case "Sim.load words per op within bound" `Quick
       test_sim_load_words;
     QCheck_alcotest.to_alcotest qcheck_coreset_next;
+    Alcotest.test_case "lock construction: minor words within budget" `Quick
+      test_construction_words;
+    Alcotest.test_case "lock construction: cohort lines are members + fixed"
+      `Quick test_cohort_lines;
+    Alcotest.test_case "lock construction: ARRAY takes any tid below n_threads"
+      `Quick test_array_lock_wide_tids;
   ]

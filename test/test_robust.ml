@@ -42,18 +42,31 @@ let robust_cs shared ~tid ~work =
   Sim.store shared.d2 (x + 1);
   shared.lock.Lock_type.release_robust ~tid
 
-(* One crash-stopped holder (workload tid 0 = engine tid 0: the hashed
-   spawn order keeps 0 first), five survivors hammering the robust
-   path. *)
+(* One crash-stopped holder, [victim], and [threads - 1] survivors
+   hammering the robust path.  The crash schedule speaks engine tids
+   (spawn order), so the victim's is looked up in [Harness.spawn_order]
+   (workload tid 0 = engine tid 0: the hashed spawn order keeps 0
+   first).  With [warmup] > 0 every thread first runs that many plain
+   acquire/release rounds and meets the others at a barrier, so the
+   lock's robust state is built mid-run, on a lock that has seen plain
+   use.  [head_start] delays the survivors' first robust acquisition,
+   letting a victim other than the first-spawned thread take the lock
+   uncontended. *)
 let crashed_holder_robust ?(platform = Platform.opteron) ?(crash_at = 40_000)
-    algo =
+    ?(threads = 6) ?(victim = 0) ?(warmup = 0) ?(head_start = 0)
+    ?(duration = 150_000) algo =
   let p = platform in
-  let threads = 6 in
-  let faults = Fault.crash_stop ~seed:1 [ (0, crash_at) ] in
+  let order = Harness.spawn_order ~threads in
+  let engine_victim =
+    let rec find k = if order.(k) = victim then k else find (k + 1) in
+    find 0
+  in
+  let faults = Fault.crash_stop ~seed:1 [ (engine_victim, crash_at) ] in
   let witnesses = ref [] in
   let stats = ref (Lock_type.rstats_zero ()) in
+  let quiesced = Sim.make_barrier threads in
   let r =
-    Harness.run ~faults p ~threads ~duration:150_000
+    Harness.run ~faults p ~threads ~duration
       ~setup:(fun mem ->
         let lock = Simlock.create mem p ~n_threads:threads algo in
         stats := lock.Lock_type.rstats;
@@ -64,7 +77,14 @@ let crashed_holder_robust ?(platform = Platform.opteron) ?(crash_at = 40_000)
           witnesses;
         })
       ~body:(fun shared _mem ~tid ~deadline ->
-        if tid = 0 then begin
+        if warmup > 0 then begin
+          for _ = 1 to warmup do
+            Lock_type.with_lock shared.lock ~tid (fun () -> Sim.pause 40);
+            Sim.pause 80
+          done;
+          Sim.await quiesced
+        end;
+        if tid = victim then begin
           (* the victim: robust-acquires, then dies mid-critical-section
              with d1 already bumped and d2 not yet *)
           (match shared.lock.Lock_type.acquire_robust ~tid with
@@ -80,6 +100,7 @@ let crashed_holder_robust ?(platform = Platform.opteron) ?(crash_at = 40_000)
           0
         end
         else begin
+          if head_start > 0 then Sim.pause head_start;
           let n = ref 0 in
           while Sim.now () < deadline do
             robust_cs shared ~tid ~work:(fun () -> Sim.pause 60);
@@ -89,25 +110,87 @@ let crashed_holder_robust ?(platform = Platform.opteron) ?(crash_at = 40_000)
           !n
         end)
   in
-  (r, !witnesses, !stats)
+  (r, !witnesses, !stats, engine_victim)
+
+(* The run recovered from the victim's death: only the victim crashed,
+   every survivor completed, and exactly one grant witnessed the dead
+   holder, naming its workload tid. *)
+let check_recovered ~label ~victim ~engine_victim (r : Harness.result)
+    witnesses =
+  check_bool (label "crash recorded") true
+    (r.Harness.health.Sim.crashed = [ engine_victim ]);
+  check_bool (label "verdict is Completed") true
+    (r.Harness.health.Sim.verdict = Sim.Completed);
+  check_bool (label "victim marked incomplete") false
+    r.Harness.completed.(victim);
+  check_bool (label "survivors completed") true
+    (Array.for_all (fun c -> c)
+       (Array.of_list
+          (List.filteri (fun i _ -> i <> victim)
+             (Array.to_list r.Harness.completed))));
+  check_bool (label "owner death witnessed once") true
+    (witnesses = [ [ victim ] ]);
+  check_bool (label "survivors made progress") true (r.Harness.total_ops > 0)
 
 let test_owner_death_recovery () =
   List.iter
     (fun algo ->
-      let r, witnesses, _ = crashed_holder_robust algo in
+      let r, witnesses, _, engine_victim = crashed_holder_robust algo in
       let label s = Printf.sprintf "%s %s" (Simlock.name algo) s in
-      check_bool (label "crash recorded") true
-        (r.Harness.health.Sim.crashed = [ 0 ]);
-      check_bool (label "verdict is Completed") true
-        (r.Harness.health.Sim.verdict = Sim.Completed);
-      check_bool (label "victim marked incomplete") false
-        r.Harness.completed.(0);
-      check_bool (label "survivors completed") true
-        (Array.for_all (fun c -> c) (Array.sub r.Harness.completed 1 5));
-      (* exactly one grant witnessed the dead holder, and named it *)
-      check_bool (label "owner death witnessed once") true
-        (witnesses = [ [ 0 ] ]);
-      check_bool (label "survivors made progress") true (r.Harness.total_ops > 0))
+      check_recovered ~label ~victim:0 ~engine_victim r witnesses)
+    (all_algos Platform.opteron)
+
+(* A cohort's local locks speak member indices, not tids: a holder
+   that is neither in cluster 0 nor its cluster's first member must
+   still be witnessed under its workload tid. *)
+let test_owner_death_cohort_member () =
+  let threads = 16 in
+  List.iter
+    (fun (p : Platform.t) ->
+      let topo = p.Platform.topo in
+      let cluster tid = topo.Topology.node_of_core (Platform.place p tid) in
+      (* first tid whose cluster is >= 1 and that has an earlier tid in
+         its cluster *)
+      let victim =
+        let rec find tid =
+          if tid >= threads then Alcotest.fail "no victim candidate"
+          else if
+            cluster tid >= 1
+            && List.exists (fun t -> cluster t = cluster tid)
+                 (List.init tid Fun.id)
+          then tid
+          else find (tid + 1)
+        in
+        find 1
+      in
+      List.iter
+        (fun algo ->
+          let r, witnesses, _, engine_victim =
+            crashed_holder_robust ~platform:p ~threads ~victim
+              ~head_start:5_000 algo
+          in
+          let label s =
+            Printf.sprintf "%s %s victim %d (cluster %d) %s" p.Platform.name
+              (Simlock.name algo) victim (cluster victim) s
+          in
+          check_recovered ~label ~victim ~engine_victim r witnesses)
+        Simlock.[ Hclh; Hticket ])
+    [ Platform.opteron; Platform.xeon ]
+
+(* A lock used on the plain path first and robustly only afterwards
+   builds its robust state mid-run, from the quiesced lock's words; it
+   must still recover an owner death. *)
+let test_owner_death_after_plain_use () =
+  List.iter
+    (fun algo ->
+      let r, witnesses, _, engine_victim =
+        crashed_holder_robust ~warmup:5 ~head_start:5_000 ~crash_at:250_000
+          ~duration:400_000 algo
+      in
+      let label s =
+        Printf.sprintf "%s after plain use %s" (Simlock.name algo) s
+      in
+      check_recovered ~label ~victim:0 ~engine_victim r witnesses)
     (all_algos Platform.opteron)
 
 (* The same scenario on a single-socket platform (no hierarchical
@@ -115,7 +198,7 @@ let test_owner_death_recovery () =
 let test_owner_death_recovery_niagara () =
   List.iter
     (fun algo ->
-      let r, witnesses, _ =
+      let r, witnesses, _, _ =
         crashed_holder_robust ~platform:Platform.niagara algo
       in
       let label s = Printf.sprintf "niagara %s %s" (Simlock.name algo) s in
@@ -200,7 +283,7 @@ let test_robust_counter_exact () =
 let test_rstats_accounting () =
   List.iter
     (fun algo ->
-      let _, _, st = crashed_holder_robust algo in
+      let _, _, st, _ = crashed_holder_robust algo in
       let label s = Printf.sprintf "%s %s" (Simlock.name algo) s in
       check_bool (label "grants counted") true (st.Lock_type.r_grants > 0);
       check_int (label "one owner death surfaced") 1
@@ -474,4 +557,8 @@ let suite =
       test_timeout_while_others_parked;
     Alcotest.test_case "trylock under a crashed holder: 9 algos" `Quick
       test_trylock_under_crash;
+    Alcotest.test_case "owner death: cohort holder past cluster 0 named by tid"
+      `Slow test_owner_death_cohort_member;
+    Alcotest.test_case "owner death: robust state built after plain use"
+      `Slow test_owner_death_after_plain_use;
   ]
