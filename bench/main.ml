@@ -18,11 +18,6 @@
      bench/main.exe --jobs N   fan simulation jobs across N domains
                                (default: the machine's recommended
                                domain count; --jobs 1 is fully serial)
-     bench/main.exe --shards N run every simulation sharded (PDES)
-                               across N shards (default 1 = serial).
-                               Output is byte-identical to --shards 1:
-                               workloads the conservative windows
-                               cannot order abort and re-run serially
      bench/main.exe --list     list section names
      bench/main.exe --json     also write per-section engine counters
                                (cpu time, events, parked waiters,
@@ -36,15 +31,6 @@
                                --jobs count).  When --metrics is also
                                given, the sampled timelines ride along
                                as Perfetto counter tracks
-     bench/main.exe --trace-spec FILE
-                               like --trace, but keeps sharded (PDES)
-                               execution enabled and records the
-                               speculation lifecycle — window open/
-                               close, conflict aborts, checkpoint/
-                               restore, line promotions, replays,
-                               serial escalations — instead of
-                               per-thread events.  Combine with
-                               --shards N
      bench/main.exe --metrics FILE
                                sample every job's virtual-time metric
                                timelines (interconnect busy/queued,
@@ -52,17 +38,16 @@
                                depth, thread run states) onto a
                                virtual-cycle grid and dump them to FILE
                                (JSON if it ends in .json, else CSV);
-                               byte-identical at any --jobs and any
-                               --shards count
+                               byte-identical at any --jobs count
      bench/main.exe heatmap    per-platform saturation workload rendered
                                as ASCII heatmaps from the sampled
                                metrics: interconnect utilization and
                                wait-cycle attribution by node pair,
                                thread run-state strips over virtual
-                               time, hottest lines, PDES health; the
-                               samples are reconciled exactly against
-                               Sim.perf (exit 1 on drift).  Combines
-                               with --quick/--jobs/--shards
+                               time, hottest lines; the samples are
+                               reconciled exactly against Sim.perf
+                               (exit 1 on drift).  Combines with
+                               --quick/--jobs
      bench/main.exe profile [SECTIONS]
                                run the sections traced (default fig3;
                                tables are not rendered) and print the
@@ -92,7 +77,9 @@
                                a section's minor-heap words, or a
                                section's cpu time blowing up >1.75x and
                                >0.5s); all failing checks are reported
-                               before exiting *)
+                               before exiting
+
+   Any other --option is rejected (exit 2). *)
 
 open Ssync_bench
 
@@ -176,17 +163,14 @@ let perf_json_fields sp =
   Printf.sprintf
     "\"cpu_s\":%.3f,\"events\":%d,\"parks\":%d,\"wakeups\":%d,\
      \"elided_probes\":%d,\"link_queued_cycles\":%d,\"sim_cycles\":%d,\
-     \"sim_mcycles_per_s\":%.1f,\"speculative_replays\":%d,\
-     \"serial_escalations\":%d,\"minor_words\":%d,\"promoted_words\":%d"
+     \"sim_mcycles_per_s\":%.1f,\"minor_words\":%d,\"promoted_words\":%d"
     sp.sp_cpu_s p.Ssync_engine.Sim.events p.Ssync_engine.Sim.parks
     p.Ssync_engine.Sim.wakeups p.Ssync_engine.Sim.elided_probes
     p.Ssync_engine.Sim.link_queued_cycles p.Ssync_engine.Sim.sim_cycles
     (sim_mcps ~cpu_s:sp.sp_cpu_s ~sim_cycles:p.Ssync_engine.Sim.sim_cycles)
-    p.Ssync_engine.Sim.speculative_replays
-    p.Ssync_engine.Sim.serial_escalations sp.sp_minor_words
-    sp.sp_promoted_words
+    sp.sp_minor_words sp.sp_promoted_words
 
-let write_perf_json ~quick ~jobs ~shards ~total_wall sps =
+let write_perf_json ~quick ~jobs ~total_wall sps =
   let oc = open_out "BENCH_PERF.json" in
   let total =
     List.fold_left
@@ -208,9 +192,9 @@ let write_perf_json ~quick ~jobs ~shards ~total_wall sps =
       sps
   in
   output_string oc "[\n";
-  Printf.fprintf oc "{\"mode\":%S,\"jobs\":%d,\"shards\":%d},\n"
+  Printf.fprintf oc "{\"mode\":%S,\"jobs\":%d},\n"
     (if quick then "quick" else "full")
-    jobs shards;
+    jobs;
   List.iter
     (fun sp ->
       Printf.fprintf oc "{\"section\":%S,%s},\n" sp.sp_name
@@ -493,9 +477,8 @@ let export_trace path planned results =
 
 (* --metrics: dump every job's sampled metric grid, labeled like the
    trace.  The dump is byte-identical at any --jobs (per-job sinks in
-   submission order) and any --shards (samples are keyed by virtual
-   time and stable ids; strategy-dependent kinds are excluded by the
-   dump itself), so CI can diff two runs directly. *)
+   submission order, samples keyed by virtual time and stable ids), so
+   CI can diff two runs directly. *)
 let export_metrics path planned results =
   let labels = job_labels planned in
   let sinks = Ssync_engine.Pool.metrics results in
@@ -520,13 +503,6 @@ let run_profile ~quick ~jobs ~trace_file ~metrics_file names =
   let module Trace = Ssync_trace.Trace in
   let module Profile = Ssync_trace.Profile in
   let module Table = Ssync_report.Table in
-  if !Trace.allow_sharded then begin
-    (* --trace-spec suppresses the per-thread events every profile
-       table and reconciliation is built from *)
-    Printf.eprintf
-      "profile: --trace-spec records lifecycle events only; use --trace\n";
-    exit 2
-  end;
   let names = if names = [] then [ "fig3" ] else names in
   List.iter
     (fun n ->
@@ -631,29 +607,6 @@ let () =
     | a :: rest -> a :: strip_jobs rest
   in
   let args = strip_jobs args in
-  let shards = ref 1 in
-  let rec strip_shards = function
-    | [] -> []
-    | "--shards" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some s when s >= 1 ->
-            shards := s;
-            strip_shards rest
-        | _ ->
-            Printf.eprintf "--shards: expected a positive integer, got %S\n" n;
-            exit 2)
-    | [ "--shards" ] ->
-        Printf.eprintf "--shards: missing shard count\n";
-        exit 2
-    | a :: rest -> a :: strip_shards rest
-  in
-  let args = strip_shards args in
-  Ssync_engine.Sim.default_shards := !shards;
-  (* an explicit --shards request overrides the host-capability default:
-     on a single-core host sharded execution is pure overhead, but when
-     the user asks for it (identity checks, speculation traces) it must
-     actually engage *)
-  if !shards > 1 then Ssync_engine.Sim.shard_domains := true;
   let trace_file = ref None in
   let rec strip_trace = function
     | [] -> []
@@ -666,20 +619,6 @@ let () =
     | a :: rest -> a :: strip_trace rest
   in
   let args = strip_trace args in
-  (* --trace-spec: same sink as --trace, but tell the engine to keep
-     sharded execution (the speculation lifecycle is the point) *)
-  let rec strip_trace_spec = function
-    | [] -> []
-    | "--trace-spec" :: f :: rest when f <> "--trace-spec" ->
-        trace_file := Some f;
-        Ssync_trace.Trace.allow_sharded := true;
-        strip_trace_spec rest
-    | [ "--trace-spec" ] | "--trace-spec" :: _ ->
-        Printf.eprintf "--trace-spec: missing output file\n";
-        exit 2
-    | a :: rest -> a :: strip_trace_spec rest
-  in
-  let args = strip_trace_spec args in
   let metrics_file = ref None in
   let rec strip_metrics = function
     | [] -> []
@@ -696,6 +635,20 @@ let () =
   let args =
     List.filter (fun a -> a <> "--quick" && a <> "--json") args
   in
+  (* every option left is a typo or a removed flag; chaos parses its
+     own (--repro KEY) *)
+  (match args with
+  | "chaos" :: _ -> ()
+  | _ -> (
+      match
+        List.find_opt
+          (fun a -> String.starts_with ~prefix:"--" a && a <> "--list")
+          args
+      with
+      | Some a ->
+          Printf.eprintf "unknown option %s (see the usage in bench/main.ml)\n" a;
+          exit 2
+      | None -> ()));
   (match args with
   | "profile" :: names ->
       run_profile ~quick ~jobs:!jobs ~trace_file:!trace_file
@@ -781,6 +734,6 @@ let () =
     (* stderr, so stdout stays byte-identical across runs and --jobs *)
     Printf.eprintf "\n(total wall time: %.1fs, %d jobs)\n" total_wall !jobs;
     if json then
-      write_perf_json ~quick ~jobs:!jobs ~shards:!shards ~total_wall
+      write_perf_json ~quick ~jobs:!jobs ~total_wall
         (List.rev !perfs)
   end

@@ -49,13 +49,9 @@ let create () =
 let is_empty t = t.size = 0
 let length t = t.size
 
-(* Reset for reuse across runs: drops every queued event and releases
-   the closures, but keeps the warmed arrays.  This is also the whole
-   of the queue's speculative-rollback story: checkpoints are taken
-   before any thread is spawned, so a replay never restores queue
-   contents — it [clear]s and re-spawns, which rebuilds the schedule
-   from scratch with [next_seq] back at zero (same seq numbers, same
-   FIFO tie-breaks, byte-identical replay). *)
+(* Reset for reuse: drops every queued event and releases the
+   closures, but keeps the warmed arrays; [next_seq] restarts at zero,
+   so a refilled queue breaks ties exactly like a fresh one. *)
 let clear t =
   Array.fill t.runs 0 t.size no_run;
   t.size <- 0;

@@ -2,7 +2,7 @@
    construction.
 
    A simulated memory operation crosses [Sim]'s effect handler,
-   [Memory.access_lat_in] and the cost model.  The memory entry itself
+   [Memory.access] and the cost model.  The memory entry itself
    must allocate nothing — a boxed line owner or an optional argument
    on it would show up here as a non-zero minor-heap delta — and a
    simulated thread's loads may allocate only the continuation and the
@@ -35,12 +35,11 @@ let lines_in m ~holder st =
 (* [calls] accesses of [op] by [core], one per address, spaced far
    enough apart in virtual time that none queues behind another. *)
 let run_accesses m ~core op ~operand ~operand2 addrs =
-  let slot = Memory.slot m 0 in
   fun () ->
     for i = 0 to Array.length addrs - 1 do
       ignore
-        (Memory.access_lat_in m ~slot ~core ~now:(1_000_000 * (i + 1)) op
-           addrs.(i) ~operand ~operand2 ~fetch:false)
+        (Memory.access m ~core ~now:(1_000_000 * (i + 1)) op addrs.(i)
+           ~operand ~operand2 ~fetch:false)
     done
 
 let check_zero label w =
@@ -227,6 +226,82 @@ let test_array_lock_wide_tids () =
   ignore (Sim.run sim);
   Alcotest.(check int) "acquire/release at every tid" 4 !rounds
 
+(* ------------------------------------------------------------------ *)
+(* Memory construction budget.  Every job builds a memory, so
+   [Memory.create] pays only for what the engine uses: three 1,024-slot
+   line/word tables (recycled through the domain pool), the
+   interconnect busy-time array and the per-access scratch.  Arrays
+   above the minor heap's size limit are allocated straight into the
+   major heap, where [Gc.minor_words] cannot see them, so these bounds
+   count both heaps. *)
+
+(* Words [f ()] allocates in the calling domain — minor words plus
+   words allocated directly in the major heap — net of the
+   measurement's own cost. *)
+let heap_words_of f =
+  let bracket g =
+    (* [Gc.minor_words] counts the allocation pointer's progress exactly;
+       [Gc.counters] supplies the major heap's direct allocations *)
+    let minor0 = Gc.minor_words () in
+    let _, promoted0, major0 = Gc.counters () in
+    g ();
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0 -. (promoted1 -. promoted0))
+  in
+  bracket f -. bracket ignore
+
+(* Run [f] on a fresh domain, whose memory pool is empty. *)
+let on_cold_domain f =
+  Domain.join
+    (Domain.spawn (fun () ->
+         (* the sink lookups initialise their domain-local slots *)
+         ignore (Ssync_trace.Trace.current ());
+         ignore (Ssync_metrics.Metrics.current ());
+         f ()))
+
+(* One 1,024-slot table, header included. *)
+let table_words = 1025
+
+(* A warm [create] + [dispose] allocates the busy-time array
+   ([n_resources + 1] words) plus 62 words of record, scratch view,
+   resource path, stats and pool cell on every platform, measured on
+   OCaml 5.1.1; a cold one adds the three tables.  Growing past 1,024
+   lines regrows the three tables to 2,049 words each, and the line
+   itself takes 19.  One more per-line table or per-resource array
+   breaks these bounds. *)
+let create_budget (p : Platform.t) =
+  Cost_model.n_resources p.Platform.topo + 1 + 70
+
+let grow_budget = (3 * ((2 * 1024) + 1)) + 30
+
+let test_memory_create_words () =
+  List.iter
+    (fun (p : Platform.t) ->
+      let check label words bound =
+        if words > float_of_int bound then
+          Alcotest.failf "%s: %s allocates %.0f words (bound %d)"
+            p.Platform.name label words bound
+      in
+      let budget = create_budget p in
+      check "cold Memory.create + dispose"
+        (on_cold_domain (fun () ->
+             heap_words_of (fun () -> Memory.dispose (Memory.create p))))
+        (budget + (3 * table_words));
+      Memory.dispose (Memory.create p);
+      check "warm Memory.create + dispose"
+        (heap_words_of (fun () -> Memory.dispose (Memory.create p)))
+        budget;
+      check "line 1,025 of a memory"
+        (on_cold_domain (fun () ->
+             let m = Memory.create p in
+             for _ = 1 to 1024 do
+               ignore (Memory.alloc m)
+             done;
+             heap_words_of (fun () -> ignore (Memory.alloc m))))
+        grow_budget)
+    Platform.all
+
 (* [Coreset.next] walks exactly the members, in ascending order. *)
 let qcheck_coreset_next =
   QCheck.Test.make ~count:300 ~name:"Coreset.next walks the members"
@@ -257,4 +332,6 @@ let suite =
       `Quick test_cohort_lines;
     Alcotest.test_case "lock construction: ARRAY takes any tid below n_threads"
       `Quick test_array_lock_wide_tids;
+    Alcotest.test_case "Memory.create: words within budget, cold, warm, grown"
+      `Quick test_memory_create_words;
   ]

@@ -134,8 +134,8 @@ let test_tie_order () =
   check_bool "fifo among ties" true
     (!order = List.rev (List.init n (fun i -> i)))
 
-(* Events scheduled behind the last popped time (a coordinator
-   re-injecting deferred work) must still pop first. *)
+(* Events scheduled behind the last popped time must still pop first:
+   the queue is a plain min-heap with no moving floor. *)
 let test_regressing_push () =
   let q = Event_queue.create () in
   let p = Event_queue.make_popped () in

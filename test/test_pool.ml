@@ -129,20 +129,22 @@ let test_job_stats_captured () =
 
 (* ----------------------- perf arithmetic --------------------------- *)
 
-let perf_of (a, b, c, d, e, f) =
+(* Every field set explicitly (no [with]): a field added to [Sim.perf]
+   without a place in [perf_add]/[perf_diff] fails to compile here. *)
+let perf_of (a, b, c, d, e, f, g) =
   {
-    Sim.perf_zero with
     Sim.events = a;
     parks = b;
     wakeups = c;
     elided_probes = d;
-    sim_cycles = e;
-    wall_ns = f;
+    link_queued_cycles = e;
+    sim_cycles = f;
+    wall_ns = g;
   }
 
 let test_perf_arithmetic () =
-  let a = perf_of (10, 2, 3, 40, 5_000, 77)
-  and b = perf_of (7, 1, 1, 13, 900, 11) in
+  let a = perf_of (10, 2, 3, 40, 600, 5_000, 77)
+  and b = perf_of (7, 1, 1, 13, 250, 900, 11) in
   check_bool "zero is add-neutral" true (Sim.perf_add a Sim.perf_zero = a);
   check_bool "diff of self is zero" true (Sim.perf_diff a a = Sim.perf_zero);
   check_bool "add/diff round-trip" true
