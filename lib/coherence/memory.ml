@@ -421,7 +421,8 @@ let probe_hit t (l : line) ~core (op : Arch.memop) ~operand
     if foreign_reservation l ~core op ~operand ~operand2 then Arch.Load
     else cost_op_of op ~operand ~operand2
   in
-  t.platform.Platform.op_latency cost_op ~requester:core (view_of_line t l)
+  Cost_model.line_latency t.platform.Platform.topo cost_op ~requester:core
+    (view_of_line t l)
 
 (* Protocol state transition after [core] performs [op].  MOESI
    (Opteron) keeps a dirty line in the previous owner's cache in Owned
@@ -699,8 +700,8 @@ let access t ~core ~now (op : Arch.memop) (a : addr) ~operand ~operand2
        reservation nor serialize on the line (section 5.3's directed
        handoff).  Nothing mutates, so parked waiters are untouched. *)
     let service =
-      t.platform.Platform.op_latency Arch.Load ~requester:core
-        (view_of_line t l)
+      Cost_model.line_latency t.platform.Platform.topo Arch.Load
+        ~requester:core (view_of_line t l)
     in
     Stats.record t.stats op ~latency:service ~queued:0 ~rqueued:0
       ~local:false ~invalidated:0;
@@ -730,7 +731,7 @@ let access t ~core ~now (op : Arch.memop) (a : addr) ~operand ~operand2
     let bypass = local || is_pfw || favored in
     let start_line = if bypass then now else max now l.busy_until in
     let service =
-      t.platform.Platform.op_latency cost_op ~requester:core
+      Cost_model.line_latency t.platform.Platform.topo cost_op ~requester:core
         (view_of_line t l)
     in
     (* the interconnect resources this transfer crosses: queue behind
@@ -798,8 +799,8 @@ let access t ~core ~now (op : Arch.memop) (a : addr) ~operand ~operand2
     if not local then begin
       let nb =
         start
-        + t.platform.Platform.occupancy cost_op ~state:pre_state
-            ~latency:service
+        + Cost_model.occupancy t.platform.Platform.topo cost_op
+            ~state:pre_state ~latency:service
       in
       (match t.macc with
       | Some m when nb > l.busy_until ->
@@ -879,7 +880,7 @@ let last_result t = t.last_result
    it — used by ccbench to report best-case protocol latencies. *)
 let probe_latency t ~core (op : Arch.memop) (a : addr) : int =
   let l = line t a in
-  t.platform.Platform.op_latency op ~requester:core
+  Cost_model.line_latency t.platform.Platform.topo op ~requester:core
     (view_of_line t l)
 
 (* Time resource [r] (a [Cost_model] resource id) is held until

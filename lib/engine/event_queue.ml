@@ -26,10 +26,6 @@ type t = {
   mutable next_t : int; (* cached [times.(0)]; [max_int] when empty *)
 }
 
-(* Allocating view of a popped event, kept for tests and casual
-   callers; the simulator uses [pop_into]. *)
-type event = { time : int; seq : int; run : unit -> unit }
-
 (* Caller-owned cell refilled by [pop_into]. *)
 type popped = { mutable p_time : int; mutable p_run : unit -> unit }
 
@@ -144,16 +140,6 @@ let pop_into t (p : popped) =
     remove_root t;
     true
   end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let e = { time = t.times.(0); seq = t.seqs.(0); run = t.runs.(0) } in
-    remove_root t;
-    Some e
-  end
-
-let min_time t = if t.size = 0 then None else Some t.next_t
 
 (* Non-allocating variant for the simulator's hot path: one field read. *)
 let next_time t = t.next_t

@@ -1,23 +1,32 @@
 (* The discrete-event simulation engine.
 
    Simulated threads are ordinary OCaml functions running as coroutines
-   via effect handlers: every memory operation (or explicit pause)
-   performs an effect; the engine computes the operation's virtual-time
-   cost against the coherent memory model and resumes the thread when it
-   completes.  This lets the lock/message-passing algorithms be written
-   in direct style, exactly as their native counterparts.
+   under an effect handler, written in direct style exactly like their
+   native counterparts.  A memory operation, pause or spin is a plain
+   call on the calling thread's own stack: it finds the engine through
+   a domain-local slot (set while [run_health] runs) and the running
+   thread through the engine's [cur] field, charges the operation's
+   virtual-time cost against the coherent memory model at the current
+   clock, and — when nothing else could run first — advances the clock
+   and returns the value.  Only when the thread must wait (another
+   event falls due before its completion, faults are active, or it
+   waits on a barrier, a parker or a spinning line) does it perform
+   the one effect the engine handles, the payload-free [E_block]; the
+   completion time and value wait in the thread state, and the handler
+   queues the resumption (or leaves it to whoever will wake the
+   thread).
 
-   Spin loops go through a dedicated effect ([E_spin], surfaced as
-   {!spin_load} and friends): semantically the loop "probe; while the
-   result equals [while_]: pause [poll]; probe", but executed
-   event-driven — once the probes reach a steady state (inert local
-   hits), the thread parks on the line's wait list inside the memory
-   model and is woken, on the exact virtual-time grid the poll loop
-   would have used, by the next real access to the line.  Simulated
-   timestamps are preserved; only the O(poll-iterations) event churn
-   collapses to O(1).  Under fault injection the same effect falls back
-   to literal pause/probe stepping so every scheduling point draws from
-   the per-thread fault streams in the original order.
+   Spin loops go through {!spin_load} and friends: semantically the
+   loop "probe; while the result equals [while_]: pause [poll]; probe",
+   but executed event-driven — once the probes reach a steady state
+   (inert local hits), the thread parks on the line's wait list inside
+   the memory model and is woken, on the exact virtual-time grid the
+   poll loop would have used, by the next real access to the line.
+   Simulated timestamps are preserved; only the O(poll-iterations)
+   event churn collapses to O(1).  Under fault injection the same
+   machinery falls back to literal pause/probe stepping so every
+   scheduling point draws from the per-thread fault streams in the
+   original order.
 
    Two robustness layers sit on top of the pure engine:
 
@@ -56,13 +65,13 @@ module Rng = Ssync_workload.Rng
 module Trace = Ssync_trace.Trace
 module Metrics = Ssync_metrics.Metrics
 
-(* Per-thread bookkeeping for faults and the watchdog.  [pend_ik] /
-   [pend_uk] hold the thread's suspended continuation between the
-   scheduling of its resumption and the event firing; [run_ik] /
-   [run_uk] are closures allocated once per thread that continue it —
-   the hot path schedules them directly instead of allocating a fresh
-   closure per operation.  A coroutine has at most one pending
-   resumption, so one slot of each type suffices. *)
+(* Per-thread bookkeeping for faults and the watchdog.  A blocked
+   thread's continuation waits in [pend_k]; [pend_at] is when to resume
+   it (-1: another party — a barrier, a parker, its spin — wakes it)
+   and [pend_v] the value it resumes with.  [run_k], allocated once per
+   thread, continues it: the engine schedules it directly instead of a
+   fresh closure per wait.  A coroutine has at most one pending
+   resumption, so one slot suffices. *)
 type thread_state = {
   tid : int;
   core : int;
@@ -71,25 +80,15 @@ type thread_state = {
   mutable last_progress : int;
   mutable finished : bool;
   mutable crashed : bool;
-  mutable pend_ik : (int, unit) Effect.Deep.continuation option;
-  mutable pend_iv : int;
-  mutable pend_uk : (unit, unit) Effect.Deep.continuation option;
-  mutable run_ik : unit -> unit;
-  mutable run_uk : unit -> unit;
+  mutable pend_k : (int, unit) Effect.Deep.continuation option;
+  mutable pend_at : int;
+  mutable pend_v : int;
+  mutable run_k : unit -> unit;
   mutable m_state : int;
       (* metrics run-state: 0 runnable / 1 spinning / 2 parked /
          3 dead — codes chosen so [Metrics.k_runnable + m_state] is
          the gauge kind.  Maintained only while metrics are on. *)
   mutable m_since : int; (* virtual time the current run-state began *)
-  mutable e_op : Arch.memop;
-  mutable e_addr : int;
-  mutable e_x : int;
-  mutable e_y : int;
-  mutable e_fetch : bool;
-  mutable e_while : int;
-  mutable e_poll : int;
-      (* the payload of the thread's latest per-operation perform,
-         stored by [effc] for the handlers [spawn] preallocates *)
 }
 
 (* Cumulative engine counters for the benchmark harness's perf report.
@@ -127,8 +126,10 @@ type t = {
   q : Event_queue.t;
   popped : Event_queue.popped; (* preallocated pop-out cell *)
   mutable clock : int; (* virtual time of the executing event *)
-  mutable fuel : int; (* consecutive direct-run steps since last pop *)
+  mutable cur : thread_state; (* the thread the engine last continued *)
   mutable n_events : int; (* logical resumptions: pops + direct-runs *)
+  mutable ev_base : int; (* [n_events] when the current run began *)
+  mutable max_events : int; (* the current run's resumption budget *)
   mutable n_live : int;
   mutable n_parks : int;
   mutable n_wakeups : int;
@@ -139,7 +140,7 @@ type t = {
   faults_active : bool;
   faults_parkable : bool;
       (* active spec is jitter-only: parking stays exact because inert
-         probes draw nothing (see [event_driven] / [spin_loop]) *)
+         probes draw nothing (see [event_driven] / [spin_start]) *)
   parking : bool; (* event-driven waiter wakeup enabled? *)
   tstates : (int, thread_state) Hashtbl.t;
   mutable crashed_tids : int list; (* reversed *)
@@ -161,7 +162,7 @@ type t = {
 type barrier = {
   mutable expected : int;
   mutable arrived : int;
-  mutable waiters : (thread_state * (unit, unit) Effect.Deep.continuation) list;
+  mutable waiters : thread_state list;
 }
 
 (* A single-waiter parking spot for non-memory waiting (e.g. the
@@ -169,31 +170,34 @@ type barrier = {
    period; [unpark] wakes it at the first poll-grid point after the
    state change, exactly where the poll loop would have noticed. *)
 type parker = {
-  mutable seat :
-    (thread_state * (unit, unit) Effect.Deep.continuation) option;
+  mutable seat : thread_state option;
   mutable seat_at : int;
   mutable seat_poll : int;
 }
 
-type _ Effect.t +=
-  | E_mem : Arch.memop * Memory.addr * int * int -> int Effect.t
-  | E_casf : Memory.addr * int * int -> int Effect.t
-    (* CAS returning the observed value instead of the success flag *)
-  | E_spin : Arch.memop * Memory.addr * int * int * int * int -> int Effect.t
-  | E_pause : int -> unit Effect.t
-  | E_now : int Effect.t
-  | E_self : (int * int) Effect.t (* (core, tid) *)
-  | E_barrier : barrier -> unit Effect.t
-  | E_park : parker * int -> unit Effect.t
-  | E_unpark : parker -> unit Effect.t
-  | E_evd : bool Effect.t (* is event-driven waiting active? *)
-  | E_dead : int -> bool Effect.t
-    (* has thread [tid] crash-stopped?  The oracle robust locks build
-       their owner-death detection on: true from the moment virtual
-       time reaches the victim's crash time, whether or not the crash
-       event itself has fired yet *)
+(* The running thread must wait: its resumption time and value are in
+   its [thread_state]. *)
+type _ Effect.t += E_block : int Effect.t
 
 exception Simulation_runaway of int
+
+(* [cur] before the first thread runs. *)
+let no_thread =
+  {
+    tid = -1;
+    core = 0;
+    rng = Rng.create ~seed:0;
+    crash_at = -1;
+    last_progress = 0;
+    finished = true;
+    crashed = false;
+    pend_k = None;
+    pend_at = -1;
+    pend_v = 0;
+    run_k = ignore;
+    m_state = 3; (* dead: never charged *)
+    m_since = 0;
+  }
 
 (* Default for [create]'s [?parking] — lets tests A/B the event-driven
    path against literal polling without threading a flag through every
@@ -213,8 +217,10 @@ let create ?(faults = Fault.none) ?parking platform =
     q = Event_queue.create ();
     popped = Event_queue.make_popped ();
     clock = 0;
-    fuel = 0;
+    cur = no_thread;
     n_events = 0;
+    ev_base = 0;
+    max_events = max_int;
     n_live = 0;
     n_parks = 0;
     n_wakeups = 0;
@@ -242,12 +248,23 @@ let now_of t = t.clock
 (* Event-driven waiting applies without faults and under jitter-only
    specs.  Jitter draws happen per *real* memory op; an inert probe —
    exactly the kind parking elides — is made to consume no draw (see
-   [spin_loop]), so the per-thread draw sequence is identical whether
+   [spin_start]), so the per-thread draw sequence is identical whether
    the waiter parked or polled.  Preemption and crash specs keep the
    polling fallback: their draws key off every scheduling point, which
    parking removes. *)
 let event_driven t =
   t.parking && ((not t.faults_active) || t.faults_parkable)
+
+(* The simulation whose [run_health] is executing on this domain.
+   Operations called outside spawned code find no engine here (or none
+   running them) and raise [Effect.Unhandled], as an unhandled perform
+   would. *)
+let running : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let engine () =
+  match Domain.DLS.get running with
+  | Some t -> t
+  | None -> raise (Effect.Unhandled E_block)
 
 (* ---------------------- engine-side metrics ------------------------ *)
 
@@ -282,105 +299,6 @@ let m_bump t ~kind ~ts =
 let sched t ~at run = Event_queue.push t.q ~time:at run
 
 (* ------------------------------------------------------------------ *)
-(* Operations available *inside* a simulated thread.  Calling them
-   outside of [spawn]ed code raises [Effect.Unhandled]. *)
-
-let load a = Effect.perform (E_mem (Arch.Load, a, 0, 0))
-let store a v = ignore (Effect.perform (E_mem (Arch.Store, a, v, 0)))
-
-(* Store posted through the store buffer: the thread pays only the
-   retire cost while the transfer (value, invalidations, occupancy)
-   completes in the background — [operand2 = 1] marks it for the
-   memory model. *)
-let store_posted a v = ignore (Effect.perform (E_mem (Arch.Store, a, v, 1)))
-
-let cas a ~expected ~desired =
-  Effect.perform (E_mem (Arch.Cas, a, expected, desired)) = 1
-
-(* CAS that returns the value it observed (success iff it equals
-   [expected]): a retry loop built on it sees the line's value at its
-   own probe time instead of re-reading a stale snapshot. *)
-let cas_fetch a ~expected ~desired =
-  Effect.perform (E_casf (a, expected, desired))
-
-let fai a = Effect.perform (E_mem (Arch.Fai, a, 1, 0))
-
-(* Atomic fetch-and-add by [k] (k >= 0); [faa a 0] is an exclusive
-   atomic read: it returns the value and leaves the line Modified at the
-   caller, modeling a prefetchw+load probe. *)
-let faa a k =
-  if k < 0 then invalid_arg "Sim.faa: negative increment";
-  Effect.perform (E_mem (Arch.Fai, a, k, 0))
-
-(* Store-class fetch-and-add: an increment of a field only this thread
-   writes (e.g. a ticket lock's [current] on release).  Applied
-   atomically by the model but costed as a plain store. *)
-let faa_store a k =
-  if k < 0 then invalid_arg "Sim.faa_store: negative increment";
-  Effect.perform (E_mem (Arch.Fai, a, k, 1))
-
-(* [tas] returns [true] when the caller won (the previous value was 0). *)
-let tas a = Effect.perform (E_mem (Arch.Tas, a, 0, 0)) = 0
-let swap a v = Effect.perform (E_mem (Arch.Swap, a, v, 0))
-let pause cycles = if cycles > 0 then Effect.perform (E_pause cycles)
-let now () = Effect.perform E_now
-let self_core () = fst (Effect.perform E_self)
-let self_tid () = snd (Effect.perform E_self)
-
-(* {2 Spin primitives}
-
-   Each is exactly the loop [let x = probe in if x = while_ then
-   (pause poll; retry) else x] of the hand-written spinlocks, executed
-   event-driven (see the header comment).  The first probe runs
-   immediately, pauses sit between probes, and the call returns the
-   first probe result that differs from [while_]. *)
-
-let spin_check poll =
-  if poll < 0 then invalid_arg "Sim.spin: negative poll interval"
-
-let spin_load a ~while_ ~poll =
-  spin_check poll;
-  Effect.perform (E_spin (Arch.Load, a, 0, 0, while_, poll))
-
-(* Spin until the test-and-set wins (previous value 0); continues while
-   the probe returns 1. *)
-let spin_tas a ~poll =
-  spin_check poll;
-  ignore (Effect.perform (E_spin (Arch.Tas, a, 0, 0, 1, poll)))
-
-(* Spin until the CAS succeeds; continues while the probe fails. *)
-let spin_cas a ~expected ~desired ~poll =
-  spin_check poll;
-  ignore (Effect.perform (E_spin (Arch.Cas, a, expected, desired, 0, poll)))
-
-let spin_swap a v ~while_ ~poll =
-  spin_check poll;
-  Effect.perform (E_spin (Arch.Swap, a, v, 0, while_, poll))
-
-(* Spin probing with an exclusive atomic read (prefetchw-style
-   [faa a 0]). *)
-let spin_faa0 a ~while_ ~poll =
-  spin_check poll;
-  Effect.perform (E_spin (Arch.Fai, a, 0, 0, while_, poll))
-
-let make_barrier n : barrier = { expected = n; arrived = 0; waiters = [] }
-let await b = Effect.perform (E_barrier b)
-
-let make_parker () : parker = { seat = None; seat_at = 0; seat_poll = 1 }
-
-let park pk ~poll =
-  if poll <= 0 then invalid_arg "Sim.park: poll must be positive";
-  Effect.perform (E_park (pk, poll))
-
-let unpark pk = Effect.perform (E_unpark pk)
-let event_driven_waits () = Effect.perform E_evd
-
-(* Cost-free oracle: robust locks model the OS's exact knowledge of
-   which threads died (robust-futex EOWNERDEAD bookkeeping), so the
-   query itself adds no events and no latency. *)
-let tid_crashed tid = Effect.perform (E_dead tid)
-
-(* ------------------------------------------------------------------ *)
 (* Fault hooks. *)
 
 (* Extra completion delay at a scheduling point: latency jitter (memory
@@ -400,14 +318,14 @@ let fault_extra t st ~mem_op =
     let f = t.faults in
     let extra = ref 0 in
     if mem_op && f.Fault.jitter_prob > 0.
-       && Rng.float st.rng < f.Fault.jitter_prob
+       && Rng.below st.rng f.Fault.jitter_prob
     then begin
       let cy = Fault.sample st.rng f.Fault.jitter_cycles in
       extra := !extra + cy;
       t.n_jitter <- t.n_jitter + 1;
       trace_fault t st Trace.Jitter cy
     end;
-    if f.Fault.preempt_prob > 0. && Rng.float st.rng < f.Fault.preempt_prob
+    if f.Fault.preempt_prob > 0. && Rng.below st.rng f.Fault.preempt_prob
     then begin
       let cy = Fault.sample st.rng f.Fault.preempt_cycles in
       extra := !extra + cy;
@@ -439,93 +357,84 @@ let crash_sched t st ~at f =
         st.last_progress <- t.clock;
         f ())
 
-let resume : type a.
-    t -> thread_state -> (a, unit) Effect.Deep.continuation -> at:int -> a -> unit
-    =
- fun t st k ~at v -> crash_sched t st ~at (fun () -> Effect.Deep.continue k v)
-
-(* Direct-run: a resumption may skip the event queue entirely and
-   continue the thread synchronously when nothing can observe the
-   difference — no faults active (fault draws key off event shapes),
-   the completion time does not cross the run's [until] backstop (the
-   queue would have dropped it), and it falls *strictly* before every
-   queued event (so no other event could interleave, and same-time
-   FIFO order is preserved).  Timestamps, access order and results are
-   exactly those of the queued schedule; only the per-operation queue
-   round trip disappears.  Both a queue pop and a direct-run continue
-   count as one logical resumption in [n_events], so the events counter
-   measures the simulated work, not the execution strategy.  [fuel],
-   reset at every real event pop, bounds consecutive synchronous
-   continues so an event-free stretch cannot grow the native stack
-   without limit. *)
-let direct_fuel_max = 1000
-
-let can_direct t ~at =
-  (not t.faults_active)
-  && at <= t.run_until
-  && t.fuel < direct_fuel_max
-  && at < Event_queue.next_time t.q
-
-(* Hot-path resumptions: when the thread cannot crash, either continue
-   it directly (see above) or park the continuation in its [pend_*]
-   slot and schedule the preallocated runner — zero closure allocations
-   per operation.  With a crash time set, fall back to [resume] so the
-   crash bookkeeping (and its exact event shapes) stays byte-identical.
-   Direct-run applies only to completions of the thread's own
-   operations (memory ops, pauses): those run from the top of the
-   engine loop, never from inside another thread's access processing,
-   so continuing synchronously cannot re-enter the memory model. *)
-let resume_int t st (k : (int, unit) Effect.Deep.continuation) ~at v =
-  if st.crash_at >= 0 then resume t st k ~at v
-  else if can_direct t ~at then begin
-    t.fuel <- t.fuel + 1;
-    t.n_events <- t.n_events + 1;
-    t.clock <- at;
-    st.last_progress <- at;
-    Effect.Deep.continue k v
-  end
-  else begin
-    st.pend_ik <- Some k;
-    st.pend_iv <- v;
-    sched t ~at st.run_ik
-  end
-
-(* Unit-typed completion of the thread's own step (pause): direct-run
-   capable, like [resume_int]. *)
-let resume_unit_direct t st (k : (unit, unit) Effect.Deep.continuation) ~at =
-  if st.crash_at >= 0 then resume t st k ~at ()
-  else if can_direct t ~at then begin
-    t.fuel <- t.fuel + 1;
-    t.n_events <- t.n_events + 1;
-    t.clock <- at;
-    st.last_progress <- at;
-    Effect.Deep.continue k ()
-  end
-  else begin
-    st.pend_uk <- Some k;
-    sched t ~at st.run_uk
-  end
-
-(* Wakeups issued on behalf of *other* threads (barriers, parkers):
-   always scheduled, because the issuing handler may wake several
-   threads at one captured timestamp — running one synchronously would
-   advance the clock under the others' feet. *)
-let resume_unit t st (k : (unit, unit) Effect.Deep.continuation) ~at =
-  if st.crash_at >= 0 then resume t st k ~at ()
-  else begin
-    st.pend_uk <- Some k;
-    sched t ~at st.run_uk
-  end
-
-(* Schedule a preallocated engine-internal step ([f] updates
+(* Schedule a preallocated engine step of [st] ([f] updates
    [last_progress] itself at entry) without wrapping it in a fresh
    closure unless the crash path demands it. *)
 let sched_step t st ~at f =
   if st.crash_at >= 0 then crash_sched t st ~at f else sched t ~at f
 
-(* One memory operation of [st] ([E_mem] / [E_casf]). *)
-let mem_op t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
-    ~operand2 ~fetch =
+(* One logical resumption, counted against the run's budget: the run
+   loop counts its pops here and the direct-run path its inline
+   completions, so a thread that never yields still hits
+   [max_events]. *)
+let count_event t =
+  t.n_events <- t.n_events + 1;
+  if t.n_events - t.ev_base > t.max_events then
+    raise (Simulation_runaway (t.n_events - t.ev_base))
+
+(* ------------------------------------------------------------------ *)
+(* Completions and wakeups. *)
+
+(* Direct-run: a completion may skip the event queue entirely — the
+   thread just carries on — when nothing can observe the difference:
+   no faults active (fault draws key off event shapes), the completion
+   time does not cross the run's [until] backstop (the queue would have
+   dropped it), and it falls *strictly* before every queued event (so
+   no other event could interleave, and same-time FIFO order is
+   preserved).  Timestamps, access order and results are exactly those
+   of the queued schedule; only the queue round trip disappears.  Both
+   a queue pop and a direct-run count as one logical resumption in
+   [n_events], so the events counter measures the simulated work, not
+   the execution strategy.  A direct-run returns to the thread's own
+   code without a continue, so the native stack does not grow however
+   long the thread runs ahead. *)
+let can_direct t ~at =
+  (not t.faults_active) && at <= t.run_until && at < Event_queue.next_time t.q
+
+(* Continue [st]'s blocked continuation with [v]. *)
+let continue_thread t st v =
+  match st.pend_k with
+  | Some k ->
+      st.pend_k <- None;
+      t.cur <- st;
+      Effect.Deep.continue k v
+  | None -> ()
+
+(* Suspend the running thread [st] until [at], to resume with [v]; with
+   [at = -1], until another party wakes it with its own value. *)
+let block st ~at v =
+  st.pend_at <- at;
+  st.pend_v <- v;
+  Effect.perform E_block
+
+(* The running thread's own operation completes at [at] with value
+   [v]: return it directly or wait for the queue. *)
+let complete t st ~at v =
+  if can_direct t ~at then begin
+    count_event t;
+    t.clock <- at;
+    st.last_progress <- at;
+    v
+  end
+  else block st ~at v
+
+(* Schedule the blocked [st]'s resumption with [v] at [at], on behalf
+   of another thread (barrier releases, unparks) or of an engine step.
+   Always queued: the waker may wake several threads at one captured
+   timestamp, and running one synchronously would advance the clock
+   under the others' feet. *)
+let wake t st ~at v =
+  st.pend_v <- v;
+  sched_step t st ~at st.run_k
+
+(* ------------------------------------------------------------------ *)
+(* Operations available *inside* a simulated thread.  Calling them
+   outside of [spawn]ed code raises [Effect.Unhandled]. *)
+
+(* One memory operation of the running thread. *)
+let access op a ~operand ~operand2 ~fetch =
+  let t = engine () in
+  let st = t.cur in
   (match t.trace with
   | Some tr -> Trace.set_tid tr st.tid
   | None -> ());
@@ -535,17 +444,82 @@ let mem_op t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
   in
   let v = Memory.last_result t.mem in
   let latency = latency + fault_extra t st ~mem_op:true in
-  resume_int t st k ~at:(t.clock + latency) v
+  complete t st ~at:(t.clock + latency) v
 
-(* The [E_spin] state machine.  Invoked with the thread suspended right
-   after observing [while_]; the first probe issues at [now + poll],
-   exactly like the poll loop's [pause poll; probe].  Whenever the next
-   probe would be inert, the thread parks on the line and the memory
-   model wakes it — via [replay], on the original probe grid — when a
-   real access disturbs the line. *)
-let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
-    ~operand2 ~while_ ~poll =
+let load a = access Arch.Load a ~operand:0 ~operand2:0 ~fetch:false
+
+let store a v =
+  ignore (access Arch.Store a ~operand:v ~operand2:0 ~fetch:false)
+
+(* Store posted through the store buffer: the thread pays only the
+   retire cost while the transfer (value, invalidations, occupancy)
+   completes in the background — [operand2 = 1] marks it for the
+   memory model. *)
+let store_posted a v =
+  ignore (access Arch.Store a ~operand:v ~operand2:1 ~fetch:false)
+
+let cas a ~expected ~desired =
+  access Arch.Cas a ~operand:expected ~operand2:desired ~fetch:false = 1
+
+(* CAS that returns the value it observed (success iff it equals
+   [expected]): a retry loop built on it sees the line's value at its
+   own probe time instead of re-reading a stale snapshot. *)
+let cas_fetch a ~expected ~desired =
+  access Arch.Cas a ~operand:expected ~operand2:desired ~fetch:true
+
+let fai a = access Arch.Fai a ~operand:1 ~operand2:0 ~fetch:false
+
+(* Atomic fetch-and-add by [k] (k >= 0); [faa a 0] is an exclusive
+   atomic read: it returns the value and leaves the line Modified at the
+   caller, modeling a prefetchw+load probe. *)
+let faa a k =
+  if k < 0 then invalid_arg "Sim.faa: negative increment";
+  access Arch.Fai a ~operand:k ~operand2:0 ~fetch:false
+
+(* Store-class fetch-and-add: an increment of a field only this thread
+   writes (e.g. a ticket lock's [current] on release).  Applied
+   atomically by the model but costed as a plain store. *)
+let faa_store a k =
+  if k < 0 then invalid_arg "Sim.faa_store: negative increment";
+  access Arch.Fai a ~operand:k ~operand2:1 ~fetch:false
+
+(* [tas] returns [true] when the caller won (the previous value was 0). *)
+let tas a = access Arch.Tas a ~operand:0 ~operand2:0 ~fetch:false = 0
+let swap a v = access Arch.Swap a ~operand:v ~operand2:0 ~fetch:false
+
+let pause cycles =
+  if cycles > 0 then begin
+    let t = engine () in
+    let st = t.cur in
+    let cycles = max 1 cycles + fault_extra t st ~mem_op:false in
+    ignore (complete t st ~at:(t.clock + cycles) 0)
+  end
+
+let now () = (engine ()).clock
+let self_core () = (engine ()).cur.core
+let self_tid () = (engine ()).cur.tid
+
+(* {2 Spin primitives}
+
+   Each is exactly the loop [let x = probe in if x = while_ then
+   (pause poll; retry) else x] of the hand-written spinlocks, executed
+   event-driven (see the header comment).  The first probe runs
+   immediately, pauses sit between probes, and the call returns the
+   first probe result that differs from [while_]. *)
+
+(* The spin state machine.  Started on the spinning thread's stack at
+   [t.clock]: the first step emulates [pause poll; probe] — or parks.
+   Whenever the next probe would be inert, the thread parks on the line
+   and the memory model wakes it — via [replay], on the original probe
+   grid — when a real access disturbs the line.  A probe that ends the
+   spin while the machine still runs on the thread's stack (a [poll = 0]
+   spin whose first probe succeeds) leaves its completion in
+   [pend_at]/[pend_v] for [spin] to return; one that ends it from a
+   queued step resumes the blocked thread, directly when nothing else
+   could run first. *)
+let spin_start t st op a ~operand ~operand2 ~while_ ~poll =
   let core = st.core in
+  let inline = ref true in
   (* [probe] and [continue_spin] are allocated once per spin episode and
      update [last_progress] themselves, so the per-probe steps schedule
      them directly ([sched_step]) with no wrapper closure. *)
@@ -571,11 +545,22 @@ let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
     let latency =
       if inert then latency else latency + fault_extra t st ~mem_op:true
     in
+    let at = t.clock + latency in
     if x <> while_ then begin
-      m_trans t st ~at:(t.clock + latency) m_runnable;
-      resume_int t st k ~at:(t.clock + latency) x
+      m_trans t st ~at m_runnable;
+      if !inline then begin
+        st.pend_at <- at;
+        st.pend_v <- x
+      end
+      else if can_direct t ~at then begin
+        count_event t;
+        t.clock <- at;
+        st.last_progress <- at;
+        continue_thread t st x
+      end
+      else wake t st ~at x
     end
-    else sched_step t st ~at:(t.clock + latency) continue_spin
+    else sched_step t st ~at continue_spin
   and continue_spin () =
     (* [t.clock] is the completion time of a probe that returned
        [while_]; emulate [pause poll; probe] — or park. *)
@@ -608,11 +593,47 @@ let spin_loop t st (k : (int, unit) Effect.Deep.continuation) op a ~operand
     end
   in
   m_trans t st ~at:t.clock m_spinning;
-  continue_spin ()
+  st.pend_at <- -1;
+  continue_spin ();
+  inline := false
+
+let spin op a ~operand ~operand2 ~while_ ~poll =
+  if poll < 0 then invalid_arg "Sim.spin: negative poll interval";
+  let t = engine () in
+  let st = t.cur in
+  spin_start t st op a ~operand ~operand2 ~while_ ~poll;
+  if st.pend_at >= 0 then complete t st ~at:st.pend_at st.pend_v
+  else block st ~at:(-1) 0
+
+let spin_load a ~while_ ~poll =
+  spin Arch.Load a ~operand:0 ~operand2:0 ~while_ ~poll
+
+(* Spin until the test-and-set wins (previous value 0); continues while
+   the probe returns 1. *)
+let spin_tas a ~poll =
+  ignore (spin Arch.Tas a ~operand:0 ~operand2:0 ~while_:1 ~poll)
+
+(* Spin until the CAS succeeds; continues while the probe fails. *)
+let spin_cas a ~expected ~desired ~poll =
+  ignore (spin Arch.Cas a ~operand:expected ~operand2:desired ~while_:0 ~poll)
+
+let spin_swap a v ~while_ ~poll =
+  spin Arch.Swap a ~operand:v ~operand2:0 ~while_ ~poll
+
+(* Spin probing with an exclusive atomic read (prefetchw-style
+   [faa a 0]). *)
+let spin_faa0 a ~while_ ~poll =
+  spin Arch.Fai a ~operand:0 ~operand2:0 ~while_ ~poll
+
+(* {2 Barriers and parkers} *)
+
+let make_barrier n : barrier = { expected = n; arrived = 0; waiters = [] }
 
 (* Barrier arrival.  The releasing arrival is the latest-timed one, so
    every waiter wakes at the release time. *)
-let barrier_arrive t st (k : (unit, unit) Effect.Deep.continuation) b =
+let await b =
+  let t = engine () in
+  let st = t.cur in
   let at = t.clock in
   st.last_progress <- at;
   b.arrived <- b.arrived + 1;
@@ -620,34 +641,45 @@ let barrier_arrive t st (k : (unit, unit) Effect.Deep.continuation) b =
     let to_wake = b.waiters in
     b.waiters <- [];
     b.arrived <- 0;
-    List.iter (fun (wst, w) -> resume_unit t wst w ~at) to_wake;
-    resume_unit t st k ~at
+    List.iter (fun w -> wake t w ~at 0) to_wake;
+    ignore (block st ~at 0)
   end
-  else b.waiters <- (st, k) :: b.waiters
+  else begin
+    b.waiters <- st :: b.waiters;
+    ignore (block st ~at:(-1) 0)
+  end
 
-let park_seat t st (k : (unit, unit) Effect.Deep.continuation) pk poll =
+let make_parker () : parker = { seat = None; seat_at = 0; seat_poll = 1 }
+
+let park pk ~poll =
+  if poll <= 0 then invalid_arg "Sim.park: poll must be positive";
+  let t = engine () in
+  let st = t.cur in
   if event_driven t then begin
     if pk.seat <> None then invalid_arg "Sim.park: parker already occupied";
-    pk.seat <- Some (st, k);
+    pk.seat <- Some st;
     pk.seat_at <- t.clock;
     pk.seat_poll <- poll;
     t.n_parks <- t.n_parks + 1;
     m_trans t st ~at:t.clock m_parked;
     m_bump t ~kind:Metrics.k_parks ~ts:t.clock;
-    match t.trace with
+    (match t.trace with
     | Some tr ->
         Trace.emit tr ~ts:t.clock (Trace.E_park { tid = st.tid; addr = -1 })
-    | None -> ()
+    | None -> ());
+    ignore (block st ~at:(-1) 0)
   end
   else begin
     (* literal polling: one pause quantum, the caller's loop re-checks *)
     let cy = max 1 poll + fault_extra t st ~mem_op:false in
-    resume_unit t st k ~at:(t.clock + cy)
+    ignore (block st ~at:(t.clock + cy) 0)
   end
 
-let unpark_wake t pk =
+(* Costless for the caller: it carries on at once. *)
+let unpark pk =
+  let t = engine () in
   match pk.seat with
-  | Some (wst, wk) ->
+  | Some wst ->
       pk.seat <- None;
       (* first poll-grid point after the state change *)
       let dt = t.clock - pk.seat_at in
@@ -660,8 +692,19 @@ let unpark_wake t pk =
       | Some tr ->
           Trace.emit tr ~ts:wake_at (Trace.E_wake { tid = wst.tid; addr = -1 })
       | None -> ());
-      resume_unit t wst wk ~at:wake_at
+      wake t wst ~at:wake_at 0
   | None -> ()
+
+let event_driven_waits () = event_driven (engine ())
+
+(* Cost-free oracle: robust locks model the OS's exact knowledge of
+   which threads died (robust-futex EOWNERDEAD bookkeeping), so the
+   query itself adds no events and no latency. *)
+let tid_crashed tid =
+  let t = engine () in
+  match Hashtbl.find_opt t.tstates tid with
+  | Some qst -> qst.crashed || (qst.crash_at >= 0 && t.clock >= qst.crash_at)
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 
@@ -679,85 +722,31 @@ let spawn t ~core body =
       last_progress = t.clock;
       finished = false;
       crashed = false;
-      pend_ik = None;
-      pend_iv = 0;
-      pend_uk = None;
-      run_ik = ignore;
-      run_uk = ignore;
+      pend_k = None;
+      pend_at = -1;
+      pend_v = 0;
+      run_k = ignore;
       m_state = m_runnable;
       m_since = t.clock;
-      e_op = Arch.Load;
-      e_addr = 0;
-      e_x = 0;
-      e_y = 0;
-      e_fetch = false;
-      e_while = 0;
-      e_poll = 0;
     }
   in
-  st.run_ik <-
+  st.run_k <-
     (fun () ->
       st.last_progress <- t.clock;
-      match st.pend_ik with
-      | Some k ->
-          st.pend_ik <- None;
-          Effect.Deep.continue k st.pend_iv
-      | None -> ());
-  st.run_uk <-
-    (fun () ->
-      st.last_progress <- t.clock;
-      match st.pend_uk with
-      | Some k ->
-          st.pend_uk <- None;
-          Effect.Deep.continue k ()
-      | None -> ());
+      continue_thread t st st.pend_v);
   Hashtbl.replace t.tstates tid st;
   (match t.trace with
   | Some tr -> Trace.emit tr ~ts:t.clock (Trace.E_thread { tid; core })
   | None -> ());
   let open Effect.Deep in
-  (* The per-operation handlers, allocated once per thread: [effc]
-     stores the payload in [st] and returns one of these instead of a
-     fresh [Some (fun k -> ...)] closure per perform.  Each reads the
-     payload before anything else — a direct-run continue inside it may
-     perform again and overwrite it. *)
-  let on_mem =
+  (* The [E_block] handler, allocated once per thread: it parks the
+     continuation and queues the resumption unless another party will
+     wake the thread. *)
+  let on_block =
     Some
       (fun (k : (int, unit) continuation) ->
-        mem_op t st k st.e_op st.e_addr ~operand:st.e_x ~operand2:st.e_y
-          ~fetch:st.e_fetch)
-  in
-  let on_spin =
-    Some
-      (fun (k : (int, unit) continuation) ->
-        spin_loop t st k st.e_op st.e_addr ~operand:st.e_x ~operand2:st.e_y
-          ~while_:st.e_while ~poll:st.e_poll)
-  in
-  let on_pause =
-    Some
-      (fun (k : (unit, unit) continuation) ->
-        let cycles = st.e_x in
-        let cycles = max 1 cycles + fault_extra t st ~mem_op:false in
-        resume_unit_direct t st k ~at:(t.clock + cycles))
-  in
-  let on_now = Some (fun (k : (int, unit) continuation) -> continue k t.clock) in
-  let self_id = (core, tid) in
-  let on_self =
-    Some (fun (k : (int * int, unit) continuation) -> continue k self_id)
-  in
-  let on_evd =
-    Some (fun (k : (bool, unit) continuation) -> continue k (event_driven t))
-  in
-  let on_dead =
-    Some
-      (fun (k : (bool, unit) continuation) ->
-        let dead =
-          match Hashtbl.find_opt t.tstates st.e_x with
-          | Some qst ->
-              qst.crashed || (qst.crash_at >= 0 && t.clock >= qst.crash_at)
-          | None -> false
-        in
-        continue k dead)
+        st.pend_k <- Some k;
+        if st.pend_at >= 0 then sched_step t st ~at:st.pend_at st.run_k)
   in
   let handler : (unit, unit) handler =
     {
@@ -771,53 +760,12 @@ let spawn t ~core body =
       effc =
         (fun (type a) (eff : a Effect.t) :
              ((a, unit) continuation -> unit) option ->
-          match eff with
-          | E_mem (op, a, op1, op2) ->
-              st.e_op <- op;
-              st.e_addr <- a;
-              st.e_x <- op1;
-              st.e_y <- op2;
-              st.e_fetch <- false;
-              on_mem
-          | E_casf (a, expected, desired) ->
-              st.e_op <- Arch.Cas;
-              st.e_addr <- a;
-              st.e_x <- expected;
-              st.e_y <- desired;
-              st.e_fetch <- true;
-              on_mem
-          | E_spin (op, a, op1, op2, while_, poll) ->
-              st.e_op <- op;
-              st.e_addr <- a;
-              st.e_x <- op1;
-              st.e_y <- op2;
-              st.e_while <- while_;
-              st.e_poll <- poll;
-              on_spin
-          | E_pause cycles ->
-              st.e_x <- cycles;
-              on_pause
-          | E_now -> on_now
-          | E_self -> on_self
-          | E_barrier b ->
-              Some (fun (k : (a, unit) continuation) -> barrier_arrive t st k b)
-          | E_park (pk, poll) ->
-              Some (fun (k : (a, unit) continuation) -> park_seat t st k pk poll)
-          | E_unpark pk ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  (* costless for the caller: it continues immediately *)
-                  unpark_wake t pk;
-                  continue k ())
-          | E_evd -> on_evd
-          | E_dead qtid ->
-              st.e_x <- qtid;
-              on_dead
-          | _ -> None);
+          match eff with E_block -> on_block | _ -> None);
     }
   in
   sched t ~at:t.clock (fun () ->
       st.last_progress <- t.clock;
+      t.cur <- st;
       match_with body () handler)
 
 (* ------------------------------------------------------------------ *)
@@ -885,7 +833,10 @@ let most_stalled t =
    [until] backstop dropped their pending events or because the queue
    drained with threads still blocked (a deadlock, e.g. a barrier that
    never fills, a lock whose holder crash-stopped, or a parked waiter
-   no access will ever wake). *)
+   no access will ever wake).  While it runs, the domain's [running]
+   slot names [t], so the operations its threads call find it; the
+   previous occupant (none, or the simulation whose thread called
+   [run_health]) is restored on every exit. *)
 let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
   let wall_start = Unix.gettimeofday () in
   let start_now = t.clock in
@@ -895,24 +846,28 @@ let run_health ?(until = max_int) ?(max_events = 200_000_000) t =
   let wakeups_base = t.n_wakeups in
   let dropped = ref 0 in
   t.run_until <- until;
+  t.ev_base <- ev_base;
+  t.max_events <- max_events;
   let p = t.popped in
   let continue_run = ref true in
-  while !continue_run do
-    if not (Event_queue.pop_into t.q p) then continue_run := false
-    else if p.Event_queue.p_time > until then begin
-      (* the popped event plus everything still queued is discarded *)
-      dropped := 1 + Event_queue.length t.q;
-      continue_run := false
-    end
-    else begin
-      t.n_events <- t.n_events + 1;
-      if t.n_events - ev_base > max_events then
-        raise (Simulation_runaway (t.n_events - ev_base));
-      t.fuel <- 0;
-      t.clock <- p.Event_queue.p_time;
-      p.Event_queue.p_run ()
-    end
-  done;
+  let outer = Domain.DLS.get running in
+  Domain.DLS.set running (Some t);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set running outer)
+    (fun () ->
+      while !continue_run do
+        if not (Event_queue.pop_into t.q p) then continue_run := false
+        else if p.Event_queue.p_time > until then begin
+          (* the popped event plus everything still queued is discarded *)
+          dropped := 1 + Event_queue.length t.q;
+          continue_run := false
+        end
+        else begin
+          count_event t;
+          t.clock <- p.Event_queue.p_time;
+          p.Event_queue.p_run ()
+        end
+      done);
   (* close the open run-state spans so the thread gauges cover the
      whole run, whichever state each thread ends it in *)
   if t.macc <> None then begin
@@ -965,7 +920,7 @@ let run ?until ?max_events t = fst (run_health ?until ?max_events t)
 (* Engine performance counters. *)
 
 type perf = {
-  events : int; (* logical resumptions: event pops + direct-run continues *)
+  events : int; (* logical resumptions: event pops + direct-run completions *)
   parks : int; (* threads parked event-driven *)
   wakeups : int; (* parked threads woken by a real access *)
   elided_probes : int; (* inert spin probes accounted without an event *)

@@ -1,11 +1,14 @@
 (** The discrete-event simulation engine.
 
     Simulated threads are ordinary OCaml functions running as
-    effects-based coroutines: every memory operation (or explicit
-    pause) suspends the thread, the engine charges its virtual-time
-    cost against the coherent memory model, and resumes the thread at
-    completion time.  Lock and message-passing algorithms are written
-    in direct style, exactly like their native counterparts.
+    effects-based coroutines.  A memory operation (or explicit pause)
+    is a plain call: the engine charges its virtual-time cost against
+    the coherent memory model at the thread's current time and, when
+    no other event could run before it completes, advances the clock
+    and returns at once.  Otherwise the thread suspends and resumes at
+    completion time.  Either way the schedule, the timestamps and the
+    results are the same.  Lock and message-passing algorithms are
+    written in direct style, exactly like their native counterparts.
 
     Spin-wait loops use the dedicated primitives ({!spin_load} and
     friends): semantically identical to the hand-written
@@ -86,7 +89,9 @@ val run_health : ?until:int -> ?max_events:int -> t -> int * health
 (** Run until no events remain; returns the final virtual time and the
     health record.  [until] stops the run at that virtual time (a
     backstop against threads that spin forever); [max_events] bounds
-    the total event count and raises [Simulation_runaway] beyond it.
+    the run's logical resumptions — queue pops and direct-run
+    completions alike, so a thread that never waits is caught too —
+    and raises [Simulation_runaway] beyond it.
     With event-driven waiting, a deadlocked run (e.g. parked spinners
     whose wakeup will never come) drains the queue and reports
     [Stalled] with [dropped_events = 0] rather than polling until the
@@ -101,8 +106,9 @@ val run : ?until:int -> ?max_events:int -> t -> int
 type perf = {
   events : int;
       (** logical thread resumptions: event-queue pops plus direct-run
-          continues.  Counting both makes the metric independent of
-          whether a resumption took the queue or the direct-run path. *)
+          completions (an operation that returns without suspending).
+          Counting both makes the metric independent of whether a
+          resumption took the queue or the direct-run path. *)
   parks : int;  (** threads parked event-driven *)
   wakeups : int;  (** parked threads woken by a real access *)
   elided_probes : int;
@@ -134,7 +140,8 @@ val perf_diff : perf -> perf -> perf
 
 (** {1 Operations available inside a simulated thread}
 
-    Calling these outside [spawn]ed code raises [Effect.Unhandled]. *)
+    Calling these outside [spawn]ed code raises [Effect.Unhandled] —
+    before any run, between runs, and after a run that raised. *)
 
 val load : Ssync_coherence.Memory.addr -> int
 val store : Ssync_coherence.Memory.addr -> int -> unit

@@ -47,13 +47,17 @@ let popcount w =
 
 let cardinal s = popcount s.w0 + popcount s.w1
 
+(* Index of the one set bit of [b]: a fixed six-step binary search
+   (32 + 16 + 8 + 4 + 2 + 1 covers bits 0..62, the sign bit included,
+   since [lsr] shifts it like any other). *)
 let bit_index b =
-  (* [b] is a one-bit word *)
   let i = ref 0 and b = ref b in
-  while !b <> 1 do
-    b := !b lsr 1;
-    incr i
-  done;
+  if !b lsr 32 <> 0 then begin b := !b lsr 32; i := 32 end;
+  if !b lsr 16 <> 0 then begin b := !b lsr 16; i := !i + 16 end;
+  if !b lsr 8 <> 0 then begin b := !b lsr 8; i := !i + 8 end;
+  if !b lsr 4 <> 0 then begin b := !b lsr 4; i := !i + 4 end;
+  if !b lsr 2 <> 0 then begin b := !b lsr 2; i := !i + 2 end;
+  if !b lsr 1 <> 0 then i := !i + 1;
   !i
 
 let iter_word f base w =
@@ -102,10 +106,3 @@ let of_list l =
 
 let equal a b = a.w0 = b.w0 && a.w1 = b.w1
 let copy s = { w0 = s.w0; w1 = s.w1 }
-
-(* Overwrite [dst] with [src]'s members in place (rollback restore:
-   the destination set is aliased by cost-model views, so it must keep
-   its identity). *)
-let assign dst src =
-  dst.w0 <- src.w0;
-  dst.w1 <- src.w1

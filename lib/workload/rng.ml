@@ -43,8 +43,13 @@ let int t bound =
   Int64.to_int (Int64.rem (Int64.logand (next_int64 t) Int64.max_int) (Int64.of_int bound))
 
 (* Uniform float in [0, 1). *)
-let float t =
+let[@inline] float t =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992. (* 2^53 *)
+
+(* [float t < p], the draw of a Bernoulli trial: the comparison happens
+   here, where [float] inlines, so callers in other modules get a bool
+   instead of a boxed float per draw. *)
+let below t p = float t < p
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L

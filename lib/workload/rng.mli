@@ -11,4 +11,8 @@ val int : t -> int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
+val below : t -> float -> bool
+(** [below t p] is [float t < p] — the same draw — without boxing the
+    float for a caller in another module. *)
+
 val bool : t -> bool

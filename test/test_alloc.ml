@@ -1,12 +1,13 @@
 (* Allocation regression tests for the per-access path and for lock
    construction.
 
-   A simulated memory operation crosses [Sim]'s effect handler,
+   A simulated memory operation is a plain call into [Sim], then
    [Memory.access] and the cost model.  The memory entry itself
    must allocate nothing — a boxed line owner or an optional argument
    on it would show up here as a non-zero minor-heap delta — and a
-   simulated thread's loads may allocate only the continuation and the
-   effect payload OCaml itself needs per perform. *)
+   simulated thread's loads may allocate only what blocking needs:
+   nothing when the load returns inline, the continuation when it
+   must wait. *)
 
 open Ssync_platform
 open Ssync_coherence
@@ -88,32 +89,76 @@ let test_remote_modified_rmw () =
         Arch.[ (Cas, 0, 1); (Store, 1, 0) ])
     Platform.all
 
-(* Words allocated per [Sim.load] by a simulated thread polling its own
-   line: the effect payload (5 words) and OCaml's continuation (3) are
-   all that is left — 8.0 measured on OCaml 5.1, against 32 with a
-   per-perform handler closure and boxed optional arguments.  The bound
-   leaves one word of slack for the queued resumption the engine takes
-   once every thousand direct-run steps; any re-introduced [Some] (2
-   words) trips it. *)
-let load_words_bound = 9.
+(* Words allocated per [Sim.load] by simulated threads polling their
+   own lines, on three paths:
+
+   - direct-run: one thread alone, so every load completes before any
+     queued event and returns inline — a plain call that allocates
+     nothing (0.0 measured on OCaml 5.1.1; 8.0 when every load
+     performed an effect and direct-run continued the continuation);
+   - queued: two threads released together by a barrier onto equal
+     local-hit latencies, so each load completes no earlier than the
+     other thread's pending resumption and blocks — OCaml's
+     continuation and the [Some] holding it (4.0 measured; 10.0 with
+     a per-load effect payload);
+   - faulted: one thread under a jitter-only spec, where no load may
+     direct-run (4.0 measured; 12.0 with the effect payload and a
+     boxed float per fault draw).
+
+   Each bound is one word above the measurement: the smallest OCaml
+   block takes two, so any per-load box (a [Some], a ref, a tuple, a
+   closure) trips it. *)
+let load_words_bound = 1.
+let queued_load_words_bound = 5.
+let faulted_load_words_bound = 5.
+
+let loads_per_thread = 10_000
+
+(* Minor words per load over [loads_per_thread] loads in each of
+   [threads] threads on cores [0 .. threads-1], each polling its own
+   line after a warm-up load and a barrier.  The bracket runs from the
+   first thread past the barrier to the last thread done. *)
+let sim_load_words ?faults ~threads () =
+  let sim = Sim.create ?faults Platform.opteron in
+  let b = Sim.make_barrier threads in
+  let first = ref nan and last = ref nan and done_ = ref 0 in
+  for core = 0 to threads - 1 do
+    let a = Memory.alloc (Sim.memory sim) in
+    Sim.spawn sim ~core (fun () ->
+        ignore (Sim.load a);
+        Sim.await b;
+        if Float.is_nan !first then first := Gc.minor_words ();
+        for _ = 1 to loads_per_thread do
+          ignore (Sim.load a)
+        done;
+        incr done_;
+        if !done_ = threads then last := Gc.minor_words ())
+  done;
+  ignore (Sim.run sim);
+  (!last -. !first) /. float_of_int (threads * loads_per_thread)
+
+let check_load_words label ~bound per_op =
+  if not (per_op <= bound) then
+    Alcotest.failf "%s: Sim.load allocates %.2f words per op (bound %.0f)"
+      label per_op bound
 
 let test_sim_load_words () =
-  let sim = Sim.create Platform.opteron in
-  let a = Memory.alloc (Sim.memory sim) in
-  let n = 10_000 in
-  let words = ref nan in
-  Sim.spawn sim ~core:0 (fun () ->
-      ignore (Sim.load a);
-      let w0 = Gc.minor_words () in
-      for _ = 1 to n do
-        ignore (Sim.load a)
-      done;
-      words := Gc.minor_words () -. w0);
-  ignore (Sim.run sim);
-  let per_op = !words /. float_of_int n in
-  if not (per_op <= load_words_bound) then
-    Alcotest.failf "Sim.load allocates %.2f words per op (bound %.0f)" per_op
-      load_words_bound
+  check_load_words "direct-run" ~bound:load_words_bound
+    (sim_load_words ~threads:1 ())
+
+(* A load that blocks allocates at least its continuation: fewer words
+   would mean the case no longer takes the path it is meant to pin. *)
+let check_blocking_load_words label ~bound per_op =
+  Alcotest.(check bool) (label ^ ": loads block") true (per_op >= 2.);
+  check_load_words label ~bound per_op
+
+let test_sim_load_words_queued () =
+  check_blocking_load_words "queued" ~bound:queued_load_words_bound
+    (sim_load_words ~threads:2 ())
+
+let test_sim_load_words_faulted () =
+  check_blocking_load_words "jitter-only" ~bound:faulted_load_words_bound
+    (sim_load_words ~faults:(Fault.jitter 0.1) ~threads:1 ())
 
 (* ------------------------------------------------------------------ *)
 (* Lock construction budget.  The 512-lock figures build hundreds of
@@ -325,6 +370,10 @@ let suite =
       `Quick test_remote_modified_rmw;
     Alcotest.test_case "Sim.load words per op within bound" `Quick
       test_sim_load_words;
+    Alcotest.test_case "Sim.load words per op, queued path" `Quick
+      test_sim_load_words_queued;
+    Alcotest.test_case "Sim.load words per op, jitter-only faults" `Quick
+      test_sim_load_words_faulted;
     QCheck_alcotest.to_alcotest qcheck_coreset_next;
     Alcotest.test_case "lock construction: minor words within budget" `Quick
       test_construction_words;

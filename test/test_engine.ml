@@ -14,12 +14,12 @@ let test_event_queue_order () =
   Event_queue.push q ~time:30 (fun () -> order := 30 :: !order);
   Event_queue.push q ~time:10 (fun () -> order := 10 :: !order);
   Event_queue.push q ~time:20 (fun () -> order := 20 :: !order);
+  let p = Event_queue.make_popped () in
   let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some e ->
-        e.Event_queue.run ();
-        drain ()
+    if Event_queue.pop_into q p then begin
+      p.Event_queue.p_run ();
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check (list int)) "time order" [ 30; 20; 10 ] !order
@@ -30,12 +30,12 @@ let test_event_queue_fifo_ties () =
   for i = 0 to 9 do
     Event_queue.push q ~time:5 (fun () -> order := i :: !order)
   done;
+  let p = Event_queue.make_popped () in
   let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some e ->
-        e.Event_queue.run ();
-        drain ()
+    if Event_queue.pop_into q p then begin
+      p.Event_queue.p_run ();
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check (list int)) "fifo on ties" [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ]
@@ -255,6 +255,61 @@ let test_runaway_exception () =
   in
   check_bool "max_events raises Simulation_runaway" true raised
 
+(* Outside spawned code, thread operations raise [Effect.Unhandled]
+   whatever ran on the domain before: the engine slot a run sets must
+   not outlive it. *)
+let check_outside label =
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Effect.Unhandled _ -> true
+    | exception _ -> false
+  in
+  check_bool (label ^ ": load raises") true
+    (raises (fun () -> ignore (Sim.load 0)));
+  check_bool (label ^ ": now raises") true
+    (raises (fun () -> ignore (Sim.now ())));
+  check_bool (label ^ ": pause raises") true
+    (raises (fun () -> Sim.pause 10))
+
+let test_outside_thread_contract () =
+  check_outside "before any run";
+  (* A: a thread blocked on a barrier across two runs *)
+  let sim_a = Sim.create Platform.opteron in
+  let a = Memory.alloc (Sim.memory sim_a) in
+  let b = Sim.make_barrier 2 in
+  let seen = ref (-1) in
+  Sim.spawn sim_a ~core:0 (fun () ->
+      Sim.store a 1;
+      Sim.await b;
+      seen := Sim.now ();
+      ignore (Sim.load a));
+  let _, h = Sim.run_health sim_a in
+  check_bool "first run leaves the thread blocked" true
+    (h.Sim.verdict <> Sim.Completed);
+  let a_clock = Sim.now_of sim_a in
+  check_outside "between two runs";
+  let sim_c = Sim.create Platform.xeon in
+  Sim.spawn sim_c ~core:0 (fun () ->
+      Sim.pause 5;
+      failwith "thread failure");
+  (match Sim.run sim_c with
+  | _ -> Alcotest.fail "the thread's exception must escape the run"
+  | exception Failure _ -> ());
+  check_outside "after a run whose thread raised";
+  let sim_b = Sim.create Platform.niagara in
+  Sim.spawn sim_b ~core:0 (fun () -> Sim.pause 1_000_000);
+  let b_clock = Sim.run sim_b in
+  check_outside "after a second simulation ran";
+  (* the partner arrives at A's clock: the resumed thread reads A's
+     time, not B's *)
+  Sim.spawn sim_a ~core:1 (fun () -> Sim.await b);
+  let _, h = Sim.run_health sim_a in
+  check_bool "second run completes" true (h.Sim.verdict = Sim.Completed);
+  check_bool "the simulations' clocks differ" true (a_clock <> b_clock);
+  check_int "resumed thread reads its own simulation's clock" a_clock !seen;
+  check_outside "after the resumed run"
+
 let test_watchdog_deadlock_verdict () =
   (* a barrier that never fills: the queue drains with a live thread,
      which the watchdog must report instead of claiming completion *)
@@ -360,6 +415,8 @@ let suite =
       test_faults_disabled_is_noop;
     Alcotest.test_case "Simulation_runaway raised at max_events" `Quick
       test_runaway_exception;
+    Alcotest.test_case "thread operations raise outside spawned code" `Quick
+      test_outside_thread_contract;
     Alcotest.test_case "watchdog reports deadlock" `Quick
       test_watchdog_deadlock_verdict;
     Alcotest.test_case "watchdog reports crash-induced stall" `Quick

@@ -123,12 +123,12 @@ let test_tie_order () =
   for i = 0 to n - 1 do
     Event_queue.push q ~time:7 (fun () -> order := i :: !order)
   done;
+  let p = Event_queue.make_popped () in
   let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some e ->
-        e.Event_queue.run ();
-        drain ()
+    if Event_queue.pop_into q p then begin
+      p.Event_queue.p_run ();
+      drain ()
+    end
   in
   drain ();
   check_bool "fifo among ties" true
@@ -162,12 +162,12 @@ let test_clear_reuse () =
   for i = 0 to 5 do
     Event_queue.push q ~time:1 (fun () -> order := i :: !order)
   done;
+  let p = Event_queue.make_popped () in
   let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some e ->
-        e.Event_queue.run ();
-        drain ()
+    if Event_queue.pop_into q p then begin
+      p.Event_queue.p_run ();
+      drain ()
+    end
   in
   drain ();
   check_bool "fifo after clear" true (!order = [ 5; 4; 3; 2; 1; 0 ])

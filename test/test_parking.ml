@@ -49,6 +49,48 @@ let qcheck_coreset_vs_list =
       && Coreset.fold (fun c acc -> acc + c) s 0 = List.fold_left ( + ) 0 r
       && (r = [] || Coreset.exists (fun c -> c = List.hd r) s))
 
+(* [next] (from every start), [iter] and [elements] against a naive
+   membership scan over every core id.  Each set may also hold the
+   word-boundary bits: 62 (the low word's sign bit), 63 (the high
+   word's bit 0) and 125 (the high word's sign bit). *)
+let qcheck_coreset_walks_vs_scan =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 40) (int_range 0 (Coreset.capacity - 1)))
+        (triple bool bool bool))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"coreset next/iter/elements = membership scan" (QCheck.make gen)
+    (fun (cores, (b62, b63, b125)) ->
+      let edges =
+        List.concat
+          [
+            (if b62 then [ 62 ] else []);
+            (if b63 then [ 63 ] else []);
+            (if b125 then [ 125 ] else []);
+          ]
+      in
+      let s = Coreset.of_list (edges @ cores) in
+      let ids = List.init Coreset.capacity Fun.id in
+      let scan = List.filter (Coreset.mem s) ids in
+      (* a step that does not move forward ends the walk, so a wrong
+         index fails the property instead of looping *)
+      let rec walk c acc =
+        let n = Coreset.next s c in
+        if n < c then List.rev acc else walk (n + 1) (n :: acc)
+      in
+      let first_from c =
+        match List.find_opt (fun m -> m >= c) scan with Some m -> m | None -> -1
+      in
+      let iterated = ref [] in
+      Coreset.iter (fun c -> iterated := c :: !iterated) s;
+      scan = List.sort_uniq compare (edges @ cores)
+      && walk 0 [] = scan
+      && List.for_all (fun c -> Coreset.next s c = first_from c) ids
+      && List.rev !iterated = scan
+      && Coreset.elements s = scan)
+
 let test_coreset_iter_ascending () =
   let s = Coreset.of_list [ 70; 3; 0; 65; 12; 63 ] in
   let seen = ref [] in
@@ -118,26 +160,6 @@ let qcheck_event_queue_heap_property =
       && (not (Event_queue.pop_into q p))
       && Event_queue.length q = 0
       && List.length !popped = !next_id)
-
-let test_pop_into_matches_pop () =
-  let mk () =
-    let q = Event_queue.create () in
-    List.iter
-      (fun t -> Event_queue.push q ~time:t (fun () -> ()))
-      [ 9; 1; 5; 1; 7; 0; 5 ];
-    q
-  in
-  let q1 = mk () and q2 = mk () in
-  let p = Event_queue.make_popped () in
-  let rec cmp () =
-    match Event_queue.pop q1 with
-    | None -> check_bool "both empty" false (Event_queue.pop_into q2 p)
-    | Some e ->
-        check_bool "pop_into has one too" true (Event_queue.pop_into q2 p);
-        check_int "same time" e.Event_queue.time p.Event_queue.p_time;
-        cmp ()
-  in
-  cmp ()
 
 (* ------------------- parking = polling, exactly ------------------ *)
 (* The heart of the tentpole: for every lock algorithm under heavy
@@ -355,11 +377,10 @@ let test_jitter_only_keeps_parking () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_coreset_vs_list;
+    QCheck_alcotest.to_alcotest qcheck_coreset_walks_vs_scan;
     Alcotest.test_case "coreset iteration and copy" `Quick
       test_coreset_iter_ascending;
     QCheck_alcotest.to_alcotest qcheck_event_queue_heap_property;
-    Alcotest.test_case "pop_into agrees with pop" `Quick
-      test_pop_into_matches_pop;
     Alcotest.test_case "locks: parked = polled (all algos)" `Slow
       test_parking_matches_polling;
     Alcotest.test_case "channels: parked = polled" `Quick

@@ -306,7 +306,10 @@ let test_occupancy_bounds () =
     (fun p ->
       List.iter
         (fun op ->
-          let occ = p.Platform.occupancy op ~state:Arch.Modified ~latency:100 in
+          let occ =
+            Cost_model.occupancy p.Platform.topo op ~state:Arch.Modified
+              ~latency:100
+          in
           check_bool
             (Printf.sprintf "%s %s occupancy in (0;latency]" p.Platform.name
                (Arch.memop_name op))
